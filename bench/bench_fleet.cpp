@@ -10,14 +10,17 @@
 //      with every per-shard step timed into a latency histogram;
 //   3. BENCH_fleet.json: aggregate decisions/sec and notifications/sec,
 //      cross-shard send count, the peak-RSS proxy (process-table slabs +
-//      audit rings), and per-shard step latency p50/p99.
+//      audit rings + drawn display pixels) next to the real VmHWM/VmRSS
+//      from /proc/self/status, and per-shard step latency p50/p99.
 //
 // The default run (1024 shards, mixed backends) is the ROADMAP's
 // "thousands of concurrent desktops in one address space" demonstrator and
 // hard-fails if fewer than 1000 sessions are live after the storm.
 // --quick (128 shards, 8 rounds) is the check.sh smoke shape.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -31,6 +34,23 @@
 using namespace overhaul;
 
 namespace {
+
+// A "<key>: <n> kB" line of /proc/self/status, in bytes (0 if unreadable).
+std::uint64_t proc_status_bytes(const char* key) {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  std::uint64_t kb = 0;
+  const std::size_t klen = std::strlen(key);
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, key, klen) == 0 && line[klen] == ':') {
+      kb = std::strtoull(line + klen + 1, nullptr, 10);
+      break;
+    }
+  }
+  std::fclose(f);
+  return kb * 1024;
+}
 
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -293,6 +313,9 @@ int main(int argc, char** argv) {
   const std::uint64_t xshard_sends =
       f.aggregate_counter("ipc.xshard.send_stamps");
   const std::size_t rss_proxy = f.rss_proxy_bytes();
+  // Real memory next to the proxy, read before the sweep builds its fleets.
+  const std::uint64_t peak_rss = proc_status_bytes("VmHWM");
+  const std::uint64_t rss = proc_status_bytes("VmRSS");
   // Audit-memory delta: bytes the binary rings actually hold vs what the
   // same live records would cost as text-log entries (AuditRecord + two
   // heap strings each) — the per-seat RSS saving DESIGN.md §16 claims.
@@ -315,9 +338,12 @@ int main(int argc, char** argv) {
               opt.threads == 1 ? "per-shard step" : "per-quantum",
               step_ns.percentile(50), step_ns.percentile(99),
               static_cast<unsigned long long>(step_ns.count()));
-  std::printf("RSS proxy (slab chunks + audit rings): %.2f MiB across %d "
-              "live shards\n",
+  std::printf("RSS proxy (slab chunks + audit rings + drawn pixels): %.2f MiB "
+              "across %d live shards\n",
               rss_proxy / (1024.0 * 1024.0), f.live_count());
+  std::printf("real memory: peak RSS %.2f MiB, RSS %.2f MiB (%.1f KiB/seat)\n",
+              peak_rss / (1024.0 * 1024.0), rss / (1024.0 * 1024.0),
+              rss / 1024.0 / f.live_count());
   std::printf("audit rings: %.2f MiB binary vs %.2f MiB text-equivalent "
               "(%.2fx)\n",
               audit_bytes_binary / (1024.0 * 1024.0),
@@ -410,6 +436,8 @@ int main(int argc, char** argv) {
   report.add("xshard_recv_adoptions",
              f.aggregate_counter("ipc.xshard.recv_adoptions"));
   report.add("rss_proxy_bytes", static_cast<std::uint64_t>(rss_proxy));
+  report.add("peak_rss_bytes", peak_rss);
+  report.add("rss_bytes", rss);
   report.add("audit_bytes_binary",
              static_cast<std::uint64_t>(audit_bytes_binary));
   report.add("audit_bytes_text_equiv",

@@ -22,6 +22,7 @@
 //   alert_overlay        overlay window       layer-shell overlay surface
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -63,6 +64,9 @@ class DisplayBackend {
   virtual util::Status show_surface(std::uint32_t client,
                                     std::uint32_t surface) = 0;
   virtual util::Result<display::Rect> surface_rect(std::uint32_t surface) = 0;
+  // Heap bytes held by drawn (materialised) surface pixels; 0 while every
+  // surface is still a solid fill (display/pixel_store.h).
+  [[nodiscard]] virtual std::size_t pixel_bytes() const noexcept = 0;
 
   // --- monitor query hook ----------------------------------------------------
   // Ask the kernel permission monitor about `op` for the process behind

@@ -59,7 +59,9 @@ std::size_t Shard::rss_proxy_bytes() {
   kern::Kernel& k = system_.kernel();
   // Binary ring accounting: 64-byte records + intern payload, not the text
   // log's record-struct-plus-two-heap-strings footprint (DESIGN.md §16).
-  return k.processes().slab_bytes() + k.audit().memory_bytes();
+  // Window/surface pixels count only once drawn (display/pixel_store.h).
+  return k.processes().slab_bytes() + k.audit().memory_bytes() +
+         system_.display().pixel_bytes();
 }
 
 }  // namespace overhaul::fleet

@@ -89,7 +89,8 @@ class Shard {
   void account();
 
   // Bytes of the shard's dominant growable allocations: the process-table
-  // slab plus the audit ring. The fleet RSS proxy sums this across shards.
+  // slab, the audit ring and any drawn display pixels. The fleet RSS proxy
+  // sums this across shards.
   [[nodiscard]] std::size_t rss_proxy_bytes();
 
  private:

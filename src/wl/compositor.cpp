@@ -182,6 +182,12 @@ WlSurface* WlCompositor::surface(SurfaceId id) {
   return it == surfaces_.end() ? nullptr : it->second.get();
 }
 
+std::size_t WlCompositor::pixel_bytes() const noexcept {
+  std::size_t total = 0;
+  for (const auto& [id, surf] : surfaces_) total += surf->pixels().memory_bytes();
+  return total;
+}
+
 WlSurface* WlCompositor::surface_at(int x, int y) {
   // Top of stack first.
   for (auto it = stacking_.rbegin(); it != stacking_.rend(); ++it) {

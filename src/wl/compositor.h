@@ -136,6 +136,7 @@ class WlCompositor final : public core::DisplayBackend {
       return util::Status(util::Code::kBadWindow, "no such surface");
     return s->rect();
   }
+  [[nodiscard]] std::size_t pixel_bytes() const noexcept override;
   display::AlertOverlay& alert_overlay() noexcept override { return alerts_; }
 
   // --- sub-managers ---------------------------------------------------------

@@ -1,9 +1,8 @@
 #include "wl/screencopy.h"
 
-#include <algorithm>
-#include <cstring>
 #include <string>
 
+#include "display/pixel_store.h"
 #include "wl/compositor.h"
 
 namespace overhaul::wl {
@@ -56,22 +55,7 @@ display::Image WlScreencopyManager::composite_output() const {
   for (SurfaceId sid : comp.stacking_order()) {
     const WlSurface* surf = comp.surface(sid);
     if (surf == nullptr || !surf->mapped() || surf->input_only()) continue;
-    const display::Rect& r = surf->rect();
-    for (int y = std::max(0, r.y); y < std::min(img.height, r.y + r.height);
-         ++y) {
-      const int x0 = std::max(0, r.x);
-      const int x1 = std::min(img.width, r.x + r.width);
-      if (x1 <= x0) continue;
-      const auto* src = surf->pixels().data() +
-                        static_cast<std::size_t>(y - r.y) *
-                            static_cast<std::size_t>(r.width) +
-                        static_cast<std::size_t>(x0 - r.x);
-      auto* dst = img.pixels.data() +
-                  static_cast<std::size_t>(y) *
-                      static_cast<std::size_t>(img.width) +
-                  static_cast<std::size_t>(x0);
-      std::memcpy(dst, src, static_cast<std::size_t>(x1 - x0) * 4);
-    }
+    display::blit(surf->pixels(), surf->rect().x, surf->rect().y, img);
   }
   return img;
 }
@@ -98,12 +82,8 @@ Result<display::Image> WlScreencopyManager::capture_surface(
   }
   if (auto s = authorize_capture(client, surface_id); !s.is_ok()) return s;
 
-  WlSurface* surf = comp_.surface(surface_id);
-  display::Image img;
-  img.width = surf->rect().width;
-  img.height = surf->rect().height;
-  img.pixels = surf->pixels();  // real copy — the baseline cost of a capture
-  return img;
+  // A real copy — the baseline cost of a capture.
+  return display::capture(comp_.surface(surface_id)->pixels());
 }
 
 }  // namespace overhaul::wl

@@ -15,8 +15,8 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
+#include "display/pixel_store.h"
 #include "display/types.h"
 #include "sim/clock.h"
 
@@ -32,10 +32,7 @@ inline constexpr Serial kInvalidSerial = 0;
 class WlSurface {
  public:
   WlSurface(SurfaceId id, WlClientId owner, display::Rect rect)
-      : id_(id), owner_(owner), rect_(rect),
-        pixels_(static_cast<std::size_t>(rect.width) *
-                    static_cast<std::size_t>(rect.height),
-                0u) {}
+      : id_(id), owner_(owner), rect_(rect), pixels_(rect.width, rect.height) {}
 
   [[nodiscard]] SurfaceId id() const noexcept { return id_; }
   [[nodiscard]] WlClientId owner() const noexcept { return owner_; }
@@ -48,14 +45,12 @@ class WlSurface {
     rect_.x = x;
     rect_.y = y;
   }
-  // Resizing reallocates the buffer (a fresh wl_buffer attach) and also
+  // Resizing resets the pixels (a fresh wl_buffer attach) and also
   // restarts the clock when mapped.
-  void resize(int width, int height, sim::Timestamp now) {
+  void resize(int width, int height, sim::Timestamp now) noexcept {
     rect_.width = width;
     rect_.height = height;
-    pixels_.assign(static_cast<std::size_t>(width) *
-                       static_cast<std::size_t>(height),
-                   0u);
+    pixels_.resize(width, height);
     if (mapped_) mapped_at_ = now;
   }
 
@@ -78,14 +73,12 @@ class WlSurface {
   [[nodiscard]] bool input_only() const noexcept { return input_only_; }
   void set_input_only(bool on) noexcept { input_only_ = on; }
 
-  // --- pixel contents -------------------------------------------------------
-  [[nodiscard]] std::vector<std::uint32_t>& pixels() noexcept { return pixels_; }
-  [[nodiscard]] const std::vector<std::uint32_t>& pixels() const noexcept {
+  // --- pixel contents (solid until drawn; see display/pixel_store.h) -------
+  [[nodiscard]] display::PixelStore& pixels() noexcept { return pixels_; }
+  [[nodiscard]] const display::PixelStore& pixels() const noexcept {
     return pixels_;
   }
-  void fill(std::uint32_t argb) {
-    std::fill(pixels_.begin(), pixels_.end(), argb);
-  }
+  void fill(std::uint32_t argb) noexcept { pixels_.fill(argb); }
 
  private:
   SurfaceId id_;
@@ -94,7 +87,7 @@ class WlSurface {
   bool mapped_ = false;
   bool input_only_ = false;
   sim::Timestamp mapped_at_ = sim::Timestamp::never();
-  std::vector<std::uint32_t> pixels_;  // ARGB32
+  display::PixelStore pixels_;
 };
 
 }  // namespace overhaul::wl

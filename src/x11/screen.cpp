@@ -1,8 +1,6 @@
 #include "x11/screen.h"
 
-#include <algorithm>
-#include <cstring>
-
+#include "display/pixel_store.h"
 #include "x11/server.h"
 
 namespace overhaul::x11 {
@@ -37,30 +35,13 @@ Status ScreenResources::authorize_capture(ClientId client, WindowId window_id) {
 Image ScreenResources::composite_screen() const {
   const Window* root =
       const_cast<XServer&>(server_).window(kRootWindow);
-  Image img;
-  img.width = root->rect().width;
-  img.height = root->rect().height;
-  img.pixels = root->pixels();  // background first
+  Image img = display::capture(root->pixels());  // background first
   // Paint mapped windows bottom → top, clipped to the screen.
   for (WindowId wid : server_.stacking_order()) {
     if (wid == kRootWindow) continue;
     const Window* win = const_cast<XServer&>(server_).window(wid);
     if (win == nullptr || !win->mapped() || win->transparent()) continue;
-    const Rect& r = win->rect();
-    for (int y = std::max(0, r.y);
-         y < std::min(img.height, r.y + r.height); ++y) {
-      const int x0 = std::max(0, r.x);
-      const int x1 = std::min(img.width, r.x + r.width);
-      if (x1 <= x0) continue;
-      const auto* src =
-          win->pixels().data() +
-          static_cast<std::size_t>(y - r.y) * static_cast<std::size_t>(r.width) +
-          static_cast<std::size_t>(x0 - r.x);
-      auto* dst = img.pixels.data() +
-                  static_cast<std::size_t>(y) * static_cast<std::size_t>(img.width) +
-                  static_cast<std::size_t>(x0);
-      std::memcpy(dst, src, static_cast<std::size_t>(x1 - x0) * 4);
-    }
+    display::blit(win->pixels(), win->rect().x, win->rect().y, img);
   }
   return img;
 }
@@ -77,12 +58,8 @@ Result<Image> ScreenResources::get_image(ClientId client, WindowId window_id) {
 
   if (window_id == kRootWindow) return composite_screen();
 
-  Window* win = server_.window(window_id);
-  Image img;
-  img.width = win->rect().width;
-  img.height = win->rect().height;
-  img.pixels = win->pixels();  // real copy — the baseline cost of GetImage
-  return img;
+  // A real copy — the baseline cost of GetImage.
+  return display::capture(server_.window(window_id)->pixels());
 }
 
 Result<std::size_t> ScreenResources::xshm_get_image(ClientId client,
@@ -97,16 +74,10 @@ Result<std::size_t> ScreenResources::xshm_get_image(ClientId client,
   }
   if (auto s = authorize_capture(client, window_id); !s.is_ok()) return s;
 
-  std::vector<std::uint32_t> composed;
-  const std::vector<std::uint32_t>* pixels_ptr = nullptr;
-  if (window_id == kRootWindow) {
-    composed = composite_screen().pixels;
-    pixels_ptr = &composed;
-  } else {
-    pixels_ptr = &server_.window(window_id)->pixels();
-  }
-  const auto& pixels = *pixels_ptr;
-  const std::size_t bytes = pixels.size() * sizeof(std::uint32_t);
+  const Image img = window_id == kRootWindow
+                        ? composite_screen()
+                        : display::capture(server_.window(window_id)->pixels());
+  const std::size_t bytes = img.pixels.size() * sizeof(std::uint32_t);
   if (bytes > dst.segment()->size())
     return Status(Code::kInvalidArgument, "shm segment too small for image");
 
@@ -116,7 +87,7 @@ Result<std::size_t> ScreenResources::xshm_get_image(ClientId client,
       server_.kernel().processes().lookup_live(server_.pid());
   if (server_task == nullptr)
     return Status(Code::kNotFound, "X server task missing");
-  if (auto s = dst.write(*server_task, 0, pixels.data(), bytes); !s.is_ok())
+  if (auto s = dst.write(*server_task, 0, img.pixels.data(), bytes); !s.is_ok())
     return s;
   return bytes;
 }
@@ -138,9 +109,7 @@ Status ScreenResources::copy_area(ClientId client, WindowId src_id,
     return s;
   }
 
-  const std::size_t n = std::min(src->pixels().size(), dst->pixels().size());
-  std::memcpy(dst->pixels().data(), src->pixels().data(),
-              n * sizeof(std::uint32_t));
+  dst->pixels().copy_from(src->pixels());
   return Status::ok();
 }
 
@@ -161,12 +130,7 @@ Status ScreenResources::copy_plane(ClientId client, WindowId src_id,
     return s;
   }
 
-  const std::uint32_t mask = 1u << plane;
-  const std::size_t n = std::min(src->pixels().size(), dst->pixels().size());
-  for (std::size_t i = 0; i < n; ++i) {
-    dst->pixels()[i] =
-        (dst->pixels()[i] & ~mask) | (src->pixels()[i] & mask);
-  }
+  dst->pixels().copy_from(src->pixels(), 1u << plane);
   return Status::ok();
 }
 

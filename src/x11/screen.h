@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "display/types.h"
 #include "kern/ipc/shared_memory.h"

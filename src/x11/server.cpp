@@ -174,6 +174,12 @@ Window* XServer::window(WindowId id) {
   return it == windows_.end() ? nullptr : it->second.get();
 }
 
+std::size_t XServer::pixel_bytes() const noexcept {
+  std::size_t total = 0;
+  for (const auto& [id, win] : windows_) total += win->pixels().memory_bytes();
+  return total;
+}
+
 Status XServer::select_input(ClientId client_id, WindowId window_id,
                              std::uint32_t mask) {
   if (client(client_id) == nullptr)

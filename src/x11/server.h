@@ -173,6 +173,7 @@ class XServer final : public core::DisplayBackend {
       return util::Status(util::Code::kBadWindow, "no such window");
     return win->rect();
   }
+  [[nodiscard]] std::size_t pixel_bytes() const noexcept override;
   display::AlertOverlay& alert_overlay() noexcept override { return alerts_; }
 
   // --- sub-managers -------------------------------------------------------------------

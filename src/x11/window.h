@@ -4,13 +4,13 @@
 // (§IV-A: "OVERHAUL only generates interaction notifications if the X client
 // receiving the event has a valid mapped window that has stayed visible
 // above a predefined time threshold") and what the screen-capture mediation
-// needs (window ownership, pixel buffers for GetImage/CopyArea).
+// needs (window ownership, pixel contents for GetImage/CopyArea).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "display/pixel_store.h"
 #include "display/types.h"
 #include "sim/clock.h"
 
@@ -29,10 +29,7 @@ using Rect = display::Rect;
 class Window {
  public:
   Window(WindowId id, ClientId owner, Rect rect)
-      : id_(id), owner_(owner), rect_(rect),
-        pixels_(static_cast<std::size_t>(rect.width) *
-                    static_cast<std::size_t>(rect.height),
-                0u) {}
+      : id_(id), owner_(owner), rect_(rect), pixels_(rect.width, rect.height) {}
 
   [[nodiscard]] WindowId id() const noexcept { return id_; }
   [[nodiscard]] ClientId owner() const noexcept { return owner_; }
@@ -48,14 +45,12 @@ class Window {
     rect_.x = x;
     rect_.y = y;
   }
-  // Resizing reallocates the pixel buffer (contents reset, like a fresh
-  // backing store) and also restarts the clock when mapped.
-  void resize(int width, int height, sim::Timestamp now) {
+  // Resizing resets the pixels (like a fresh backing store) and also
+  // restarts the clock when mapped.
+  void resize(int width, int height, sim::Timestamp now) noexcept {
     rect_.width = width;
     rect_.height = height;
-    pixels_.assign(static_cast<std::size_t>(width) *
-                       static_cast<std::size_t>(height),
-                   0u);
+    pixels_.resize(width, height);
     if (mapped_) mapped_at_ = now;
   }
 
@@ -80,14 +75,12 @@ class Window {
   [[nodiscard]] bool transparent() const noexcept { return transparent_; }
   void set_transparent(bool t) noexcept { transparent_ = t; }
 
-  // --- pixel contents ---------------------------------------------------------
-  [[nodiscard]] std::vector<std::uint32_t>& pixels() noexcept { return pixels_; }
-  [[nodiscard]] const std::vector<std::uint32_t>& pixels() const noexcept {
+  // --- pixel contents (solid until drawn; see display/pixel_store.h) ---------
+  [[nodiscard]] display::PixelStore& pixels() noexcept { return pixels_; }
+  [[nodiscard]] const display::PixelStore& pixels() const noexcept {
     return pixels_;
   }
-  void fill(std::uint32_t argb) {
-    std::fill(pixels_.begin(), pixels_.end(), argb);
-  }
+  void fill(std::uint32_t argb) noexcept { pixels_.fill(argb); }
 
  private:
   WindowId id_;
@@ -96,7 +89,7 @@ class Window {
   bool mapped_ = false;
   bool transparent_ = false;
   sim::Timestamp mapped_at_ = sim::Timestamp::never();
-  std::vector<std::uint32_t> pixels_;  // ARGB32
+  display::PixelStore pixels_;
 };
 
 }  // namespace overhaul::x11

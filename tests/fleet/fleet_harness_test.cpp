@@ -1,7 +1,8 @@
 // FleetHarness battery: shard lifecycle (boot/drain/reap, boot storms),
 // shard isolation, per-shard metric prefixes with aggregate-on-read rollups,
-// the XShardStamp clock-domain translation edges, and a 64-shard smoke run
-// under the default coalescing knobs.
+// the XShardStamp clock-domain translation edges, a 64-shard smoke run
+// under the default coalescing knobs, and the 64-seat check that sessions
+// never materialise display pixels.
 //
 // The cross-shard P2 oracle property test lives in xshard_p2_test.cpp; this
 // file covers everything about the fleet *except* the stamp-equivalence
@@ -17,6 +18,8 @@
 #include "kern/ipc/xshard.h"
 #include "kern/task.h"
 #include "util/audit_log.h"
+#include "wl/compositor.h"
+#include "x11/server.h"
 
 namespace overhaul {
 namespace {
@@ -400,6 +403,42 @@ TEST(FleetSmoke, SixtyFourShardsMixedBackendsWithCoalescing) {
   EXPECT_EQ(f.live_count(), 56);
   f.advance(Duration::millis(50));
   EXPECT_EQ(f.aggregate_counter("monitor.decisions.granted"), 56u);
+}
+
+// --- lazy display pixels -----------------------------------------------------
+
+// Nothing a scripted seat does draws pixels, so a booted fleet holds no pixel
+// buffers at all: the X11 root and every session surface stay solid fills,
+// through clicks, decisions and full-screen captures (DESIGN.md §11).
+TEST(FleetMemory, SessionsLeaveNoMaterialisedPixels) {
+  FleetConfig fc = small_fleet(64, BackendMix::kMixed);
+  fc.base.trace = false;
+  FleetHarness f(fc);
+  f.boot_fleet();
+  std::vector<core::OverhaulSystem::AppHandle> apps;
+  for (ShardId id = 0; id < 64; ++id)
+    apps.push_back(
+        f.shard(id).launch_session("/usr/bin/seat-app", "seat-app").value());
+  f.advance(Duration::millis(600));
+  for (ShardId id = 0; id < 64; ++id) f.shard(id).system().input().click(50, 50);
+  f.advance(Duration::millis(50));
+
+  std::size_t pixel_bytes = 0;
+  for (ShardId id = 0; id < 64; ++id) {
+    core::OverhaulSystem& sys = f.shard(id).system();
+    const auto& app = apps[static_cast<std::size_t>(id)];
+    const bool captured =
+        f.shard(id).backend() == core::DisplayBackendKind::kX11
+            ? sys.xserver().screen().get_image(app.client, x11::kRootWindow)
+                  .is_ok()
+            : sys.compositor().screencopy().capture_output(app.client).is_ok();
+    EXPECT_TRUE(captured) << "shard " << id;
+    EXPECT_EQ(sys.kernel().monitor().check_now(app.pid, Op::kMicrophone, "mem"),
+              Decision::kGrant)
+        << "shard " << id;
+    pixel_bytes += sys.display().pixel_bytes();
+  }
+  EXPECT_EQ(pixel_bytes, 0u);
 }
 
 }  // namespace
