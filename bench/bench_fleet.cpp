@@ -12,6 +12,9 @@
 //      cross-shard send count, the peak-RSS proxy (process-table slabs +
 //      audit rings + drawn display pixels) next to the real VmHWM/VmRSS
 //      from /proc/self/status, and per-shard step latency p50/p99.
+//      peak_rss_bytes_per_seat (VmHWM over the booted seats) is the memory
+//      key the trajectory gate diffs, so the --quick shape and the full
+//      fleet are gated on the same per-seat figure.
 //
 // The default run (1024 shards, mixed backends) is the ROADMAP's
 // "thousands of concurrent desktops in one address space" demonstrator and
@@ -316,6 +319,8 @@ int main(int argc, char** argv) {
   // Real memory next to the proxy, read before the sweep builds its fleets.
   const std::uint64_t peak_rss = proc_status_bytes("VmHWM");
   const std::uint64_t rss = proc_status_bytes("VmRSS");
+  const std::uint64_t peak_rss_per_seat =
+      peak_rss / static_cast<std::uint64_t>(f.shard_count());
   // Audit-memory delta: bytes the binary rings actually hold vs what the
   // same live records would cost as text-log entries (AuditRecord + two
   // heap strings each) — the per-seat RSS saving DESIGN.md §16 claims.
@@ -341,9 +346,10 @@ int main(int argc, char** argv) {
   std::printf("RSS proxy (slab chunks + audit rings + drawn pixels): %.2f MiB "
               "across %d live shards\n",
               rss_proxy / (1024.0 * 1024.0), f.live_count());
-  std::printf("real memory: peak RSS %.2f MiB, RSS %.2f MiB (%.1f KiB/seat)\n",
-              peak_rss / (1024.0 * 1024.0), rss / (1024.0 * 1024.0),
-              rss / 1024.0 / f.live_count());
+  std::printf("real memory: peak RSS %.2f MiB (%.1f KiB/seat), RSS %.2f MiB "
+              "(%.1f KiB/seat)\n",
+              peak_rss / (1024.0 * 1024.0), peak_rss_per_seat / 1024.0,
+              rss / (1024.0 * 1024.0), rss / 1024.0 / f.live_count());
   std::printf("audit rings: %.2f MiB binary vs %.2f MiB text-equivalent "
               "(%.2fx)\n",
               audit_bytes_binary / (1024.0 * 1024.0),
@@ -437,6 +443,7 @@ int main(int argc, char** argv) {
              f.aggregate_counter("ipc.xshard.recv_adoptions"));
   report.add("rss_proxy_bytes", static_cast<std::uint64_t>(rss_proxy));
   report.add("peak_rss_bytes", peak_rss);
+  report.add("peak_rss_bytes_per_seat", peak_rss_per_seat);
   report.add("rss_bytes", rss);
   report.add("audit_bytes_binary",
              static_cast<std::uint64_t>(audit_bytes_binary));

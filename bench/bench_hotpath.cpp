@@ -1,7 +1,10 @@
-// Mediation fast-path microbenchmark (DESIGN.md §10): ns/op for the four
+// Mediation fast-path microbenchmark (DESIGN.md §10): ns/op for the
 // operations the zero-allocation work targets —
 //   lookup           — pid → TaskStruct* through the slab's dense index
 //   check            — PermissionMonitor::check, grant path, audit/trace off
+//   alerted-check    — the same mic check on a wired X11 system in enforce
+//                      mode, so every call also raises a V_{A,op} overlay
+//                      alert (netlink request → server handler → overlay)
 //   notify           — send_interaction with coalescing disabled (one kernel
 //                      crossing per event)
 //   coalesced-notify — send_interaction with coalescing on (10 ms skew, 1 ms
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "bench_report.h"
+#include "core/system.h"
 #include "kern/kernel.h"
 #include "kern/netlink.h"
 #include "kern/permission_monitor.h"
@@ -34,6 +38,7 @@ namespace {
 // reported numbers are then not measurements.
 int g_lookup_iters = 4'000'000;
 int g_check_iters = 2'000'000;
+int g_alerted_iters = 1'000'000;
 int g_notify_iters = 1'000'000;
 int g_reps = 5;
 
@@ -115,6 +120,52 @@ double run_check() {
   });
 }
 
+// --- alerted check ------------------------------------------------------------
+//
+// The overlay is acknowledged every 1024 checks, so its history stays
+// bounded and the timed loop reuses its storage.
+
+double run_alerted_check() {
+  core::OverhaulConfig cfg;
+  cfg.trace = false;
+  cfg.audit = false;
+  core::OverhaulSystem sys(cfg);
+  auto app = sys.launch_gui_app("/usr/bin/rec", "rec");
+  if (!app.is_ok()) return -1;
+  sys.input().click(10, 10);  // inside the app's window: a fresh interaction
+  const kern::Pid pid = app.value().pid;
+  const sim::Timestamp ts = sys.clock().now();
+  auto& monitor = sys.kernel().monitor();
+  auto& overlay = sys.display().alert_overlay();
+
+  std::uint64_t alerts = 0;
+  const double ns = best_ns_per_op(g_alerted_iters, [&] {
+    std::uint64_t grants = 0;
+    for (int i = 0; i < g_alerted_iters; ++i) {
+      grants += monitor.check(pid, util::Op::kMicrophone, ts,
+                              "/dev/snd/mic0") == util::Decision::kGrant
+                    ? 1u
+                    : 0u;
+      if ((i & 1023) == 1023) {
+        alerts += overlay.shown_count();
+        overlay.clear_history();
+      }
+    }
+    alerts += overlay.shown_count();
+    overlay.clear_history();
+    g_sink = g_sink + grants;
+  });
+  // Sanity: every timed check was a grant that raised an alert.
+  const auto expected =
+      static_cast<std::uint64_t>(g_alerted_iters) * (g_reps + 1);
+  if (alerts != expected) {
+    std::fprintf(stderr, "warning: %llu alerts for %llu alerted checks\n",
+                 static_cast<unsigned long long>(alerts),
+                 static_cast<unsigned long long>(expected));
+  }
+  return ns;
+}
+
 // --- notify / coalesced-notify ----------------------------------------------
 //
 // Same workload both times: a same-pid burst with 1 ms spacing (mouse-motion
@@ -160,6 +211,7 @@ int main(int argc, char** argv) {
   if (quick) {
     g_lookup_iters /= 200;
     g_check_iters /= 200;
+    g_alerted_iters /= 200;
     g_notify_iters /= 200;
     g_reps = 1;
     std::printf("(--quick: iteration counts divided by 200, 1 repetition — "
@@ -171,6 +223,7 @@ int main(int argc, char** argv) {
   double handle_get_ns = 0;
   const double lookup_ns = run_lookup(&handle_get_ns);
   const double check_ns = run_check();
+  const double alerted_ns = run_alerted_check();
   const double notify_ns = run_notify(false);
   const double coalesced_ns = run_notify(true);
   const double speedup = coalesced_ns > 0 ? notify_ns / coalesced_ns : 0;
@@ -181,6 +234,8 @@ int main(int argc, char** argv) {
               "handle-get", handle_get_ns);
   std::printf("%-18s %10.1f ns/op   (grant path, audit/trace off)\n",
               "check", check_ns);
+  std::printf("%-18s %10.1f ns/op   (enforce mode, overlay alert raised)\n",
+              "alerted-check", alerted_ns);
   std::printf("%-18s %10.1f ns/op   (every event crosses)\n",
               "notify", notify_ns);
   std::printf("%-18s %10.1f ns/op   (10 ms skew, 1 ms spacing)\n",
@@ -193,6 +248,7 @@ int main(int argc, char** argv) {
   report.add("lookup_ns_per_op", lookup_ns);
   report.add("handle_get_ns_per_op", handle_get_ns);
   report.add("check_ns_per_op", check_ns);
+  report.add("alerted_check_ns_per_op", alerted_ns);
   report.add("notify_ns_per_op", notify_ns);
   report.add("coalesced_notify_ns_per_op", coalesced_ns);
   report.add("coalesce_speedup", speedup);

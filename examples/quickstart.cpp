@@ -53,15 +53,15 @@ int main() {
               core::render_timeline(core::build_timeline(sys)).c_str());
   std::printf("\nAlerts shown (%zu), all carrying the visual shared secret:\n",
               sys.xserver().alerts().shown_count());
-  for (const auto& alert : sys.xserver().alerts().history()) {
+  const display::AlertOverlay& overlay = sys.xserver().alerts();
+  for (const auto& alert : overlay.history()) {
     std::printf("  [secret:%s] %s\n",
-                sys.xserver().alerts().is_authentic(alert) ? "ok" : "BAD",
-                alert.text.c_str());
+                overlay.is_authentic(alert) ? "ok" : "BAD",
+                overlay.text(alert).c_str());
   }
   // What the most recent one looks like on screen (Fig. 5 style):
-  std::printf("\n%s", x11::AlertOverlay::render_banner(
-                          sys.xserver().alerts().history().back())
-                          .c_str());
+  std::printf("\n%s",
+              overlay.render_banner(overlay.history().back()).c_str());
 
   // 6. Observability: the same session as counters (what any process can
   // read from /proc/overhaul/metrics) and as a Chrome trace of virtual-time

@@ -14,9 +14,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "audit/intern.h"
 #include "audit/record.h"
 #include "util/annotations.h"
+#include "util/string_table.h"
 
 namespace overhaul::audit {
 
@@ -40,7 +40,9 @@ class Ring {
   [[nodiscard]] std::string_view string_at(std::uint32_t id) const noexcept {
     return strings_.get(id);
   }
-  [[nodiscard]] const StringTable& strings() const noexcept { return strings_; }
+  [[nodiscard]] const util::StringTable& strings() const noexcept {
+    return strings_;
+  }
 
   // Steady state — ring full — stays inline: a 64-byte store and a masked
   // increment, zero allocations. This is the path bench_audit gates ≥3×
@@ -106,7 +108,8 @@ class Ring {
   std::uint64_t total_appended_ = 0;
   OVERHAUL_SHARED(append|append_slow|clear|set_capacity)
   std::uint64_t dropped_ = 0;
-  OVERHAUL_SHARED(append|intern|clear|set_capacity) StringTable strings_;
+  OVERHAUL_SHARED(append|intern|clear|set_capacity)
+  util::StringTable strings_;
 };
 
 }  // namespace overhaul::audit

@@ -53,7 +53,7 @@ std::uint32_t crc32(const std::uint8_t* data, std::size_t size,
 std::vector<std::uint8_t> snapshot(const Ring& ring) {
   // String section first, in intern-id order so ids decode positionally.
   std::vector<std::uint8_t> payload;
-  const StringTable& strings = ring.strings();
+  const util::StringTable& strings = ring.strings();
   for (std::uint32_t id = 0; id < strings.size(); ++id) {
     const std::string_view s = strings.get(id);
     const auto len = static_cast<std::uint32_t>(s.size());

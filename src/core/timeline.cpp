@@ -95,12 +95,13 @@ std::vector<TimelineEntry> build_timeline(OverhaulSystem& sys) {
     entries.push_back(std::move(e));
   }
 
-  for (const auto& alert : sys.display().alert_overlay().history()) {
+  const display::AlertOverlay& overlay = sys.display().alert_overlay();
+  for (const auto& alert : overlay.history()) {
     TimelineEntry e;
     e.time = sim::Timestamp{alert.shown_at_ns};
     e.kind = TimelineKind::kAlert;
     e.pid = alert.pid;
-    e.text = alert.text;
+    e.text = overlay.text(alert);
     entries.push_back(std::move(e));
   }
 
@@ -109,7 +110,7 @@ std::vector<TimelineEntry> build_timeline(OverhaulSystem& sys) {
     // the transparent model.
     for (const auto& prompt : sys.xserver().prompts().history()) {
       TimelineEntry e;
-      e.time = sys.clock().now();  // prompts resolve synchronously "now"
+      e.time = sim::Timestamp{prompt.shown_at_ns};
       e.kind = TimelineKind::kPrompt;
       e.pid = prompt.pid;
       e.text = prompt.text + " -> " +

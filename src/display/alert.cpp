@@ -3,50 +3,42 @@
 namespace overhaul::display {
 namespace {
 
-std::string render_text(const std::string& comm, util::Op op,
-                        util::Decision decision) {
-  std::string verb;
+std::string_view verb(util::Op op) noexcept {
   switch (op) {
-    case util::Op::kMicrophone: verb = "is recording from the microphone"; break;
-    case util::Op::kCamera: verb = "is using the camera"; break;
-    case util::Op::kScreenCapture: verb = "is capturing the screen"; break;
-    case util::Op::kDeviceOther: verb = "is accessing a protected device"; break;
-    case util::Op::kCopy: verb = "copied to the clipboard"; break;
-    case util::Op::kPaste: verb = "pasted from the clipboard"; break;
+    case util::Op::kMicrophone: return "is recording from the microphone";
+    case util::Op::kCamera: return "is using the camera";
+    case util::Op::kScreenCapture: return "is capturing the screen";
+    case util::Op::kDeviceOther: return "is accessing a protected device";
+    case util::Op::kCopy: return "copied to the clipboard";
+    case util::Op::kPaste: return "pasted from the clipboard";
   }
-  if (decision == util::Decision::kDeny) {
-    return "Blocked: " + comm + " tried and " + verb;
-  }
-  return comm + " " + verb;
+  return {};
 }
 
 }  // namespace
 
-const Alert& AlertOverlay::show(int pid, const std::string& comm, util::Op op,
-                                util::Decision decision) {
-  Alert alert;
-  alert.shown_at_ns = clock_.now().ns;
-  alert.expires_at_ns = (clock_.now() + duration_).ns;
-  alert.pid = pid;
-  alert.comm = comm;
-  alert.op = op;
-  alert.decision = decision;
-  alert.text = render_text(comm, op, decision);
-  alert.secret = secret_;
-  history_.push_back(std::move(alert));
-  return history_.back();
+std::string AlertOverlay::text(const Alert& alert) const {
+  std::string out;
+  if (alert.decision == util::Decision::kDeny) {
+    out += "Blocked: ";
+    out += comm(alert);
+    out += " tried and ";
+  } else {
+    out += comm(alert);
+    out += " ";
+  }
+  out += verb(alert.op);
+  return out;
 }
 
-std::string AlertOverlay::render_banner(const Alert& alert) {
+std::string AlertOverlay::render_banner(const Alert& alert) const {
   // [ <secret> | <message>                          ]
-  const std::string secret =
-      alert.secret.empty() ? "(no secret!)" : alert.secret;
-  const std::string body = " " + secret + " | " + alert.text + " ";
-  std::string out;
-  out += "+" + std::string(body.size(), '-') + "+\n";
-  out += "|" + body + "|\n";
-  out += "+" + std::string(body.size(), '-') + "+\n";
-  return out;
+  const std::string_view secret = strings_.get(alert.secret_id);
+  std::string body = " ";
+  body += secret.empty() ? "(no secret!)" : secret;
+  body += " | " + text(alert) + " ";
+  const std::string rule = "+" + std::string(body.size(), '-') + "+\n";
+  return rule + "|" + body + "|\n" + rule;
 }
 
 std::vector<const Alert*> AlertOverlay::active(sim::Timestamp now) const {

@@ -136,7 +136,8 @@ void Kernel::wire_alert_forwarding() {
         alert.op = op;
         alert.decision = decision;
         const TaskStruct* task = processes_.lookup(pid);
-        alert.comm = task != nullptr ? task->comm : "?";
+        alert.comm = task != nullptr ? std::string_view(task->comm)
+                                     : std::string_view("?");
         netlink_.request_alert(alert);
       });
 }

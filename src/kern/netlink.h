@@ -32,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "kern/devices.h"
@@ -78,9 +79,12 @@ struct DeviceMapUpdate {
   DeviceId device = kNoDevice;
 };
 
+// Delivery is synchronous (request_alert returns once every display manager
+// has shown the alert), so `comm` borrows the TaskStruct's name rather than
+// copying it; a handler that keeps the request must copy the comm itself.
 struct AlertRequest {
   Pid pid = kNoPid;
-  std::string comm;       // resolved by the kernel for display purposes
+  std::string_view comm;  // resolved by the kernel for display purposes
   util::Op op = util::Op::kDeviceOther;
   util::Decision decision = util::Decision::kDeny;
 };

@@ -1,6 +1,6 @@
-#include "audit/intern.h"
+#include "util/string_table.h"
 
-namespace overhaul::audit {
+namespace overhaul::util {
 
 namespace {
 constexpr std::size_t kInitialSlots = 256;
@@ -45,4 +45,4 @@ void StringTable::clear() {
   intern(std::string_view{});
 }
 
-}  // namespace overhaul::audit
+}  // namespace overhaul::util

@@ -1,14 +1,16 @@
-// Append-only string-intern table for the binary audit ring (DESIGN.md §16).
+// Append-only string-intern table behind every fixed-size record that names
+// a process: the binary audit ring (DESIGN.md §16) and the trusted alert
+// overlay (DESIGN.md §11).
 //
-// Process names and decision details repeat heavily across an audit stream
-// (a 21-day deployment logs the same handful of comms millions of times), so
-// each ring stores every distinct string once and records carry 32-bit ids.
-// Steady state — every comm/detail already seen — an intern() is one
-// constant-time hash plus a probe of a flat open-addressing table: no
-// allocation, no node chasing. (Deliberately not std::unordered_map: the per-node
-// indirection roughly doubles warm lookup cost on the append hot path, and
-// a flat table keeps the subsystem free of nondet-ordered containers for
-// the R9 determinism lint.)
+// Process names and decision details repeat heavily across a decision
+// stream (a 21-day deployment logs the same handful of comms millions of
+// times), so each owner stores every distinct string once and its records
+// carry 32-bit ids. Steady state — every string already seen — an intern()
+// is one constant-time hash plus a probe of a flat open-addressing table: no
+// allocation, no node chasing. (Deliberately not std::unordered_map: the
+// per-node indirection roughly doubles warm lookup cost on the append hot
+// path, and a flat table keeps its owners free of nondet-ordered containers
+// for the R9 determinism lint.)
 #pragma once
 
 #include <cstdint>
@@ -17,11 +19,11 @@
 #include <string_view>
 #include <vector>
 
-namespace overhaul::audit {
+namespace overhaul::util {
 
 class StringTable {
  public:
-  // Id 0 is always the empty string, so a default BinRecord decodes cleanly.
+  // Id 0 is always the empty string, so a default record decodes cleanly.
   StringTable();
 
   // Returns the id of `s`, adding it on first sight. Ids are dense and
@@ -94,7 +96,7 @@ class StringTable {
   void grow();
 
   // std::deque keeps element addresses stable across growth, so views_'
-  // string_views stay valid for the ring's lifetime.
+  // string_views stay valid for the table's lifetime.
   std::deque<std::string> strings_;
   std::vector<std::string_view> views_;  // views_[id] aliases strings_[id]
   std::vector<Slot> slots_;  // power-of-two, linear probing, ≤ 7/10 load
@@ -103,4 +105,4 @@ class StringTable {
   std::size_t bytes_ = 0;
 };
 
-}  // namespace overhaul::audit
+}  // namespace overhaul::util

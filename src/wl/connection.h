@@ -55,8 +55,9 @@ class WlConnection {
   [[nodiscard]] kern::Pid pid() const noexcept { return pid_; }
 
   // Same bound as x11::XClient: a client that never pumps its queue cannot
-  // grow compositor memory without bound.
-  static constexpr std::size_t kMaxQueuedEvents = 4096;
+  // grow compositor memory without bound. (libwayland is stricter still: a
+  // client whose 4 KiB connection buffer fills is disconnected.)
+  static constexpr std::size_t kMaxQueuedEvents = 512;
 
   void enqueue(WlEvent event) {
     if (queue_.size() >= kMaxQueuedEvents) {

@@ -76,8 +76,9 @@ class XClient {
 
   // A client that never pumps its queue cannot grow server memory without
   // bound (the X server disconnects such clients; we drop + count instead
-  // so scenarios stay analyzable).
-  static constexpr std::size_t kMaxQueuedEvents = 4096;
+  // so scenarios stay analyzable). 512 events is 64 KiB per client, which
+  // every fleet seat pays: its session never reads its input.
+  static constexpr std::size_t kMaxQueuedEvents = 512;
 
   void enqueue(XEvent event) {
     if (queue_.size() >= kMaxQueuedEvents) {

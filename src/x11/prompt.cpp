@@ -9,6 +9,7 @@ using util::Decision;
 Decision PromptManager::ask(int pid, const std::string& comm, util::Op op) {
   Prompt prompt;
   prompt.id = next_id_++;
+  prompt.shown_at_ns = server_.clock().now().ns;
   prompt.pid = pid;
   prompt.comm = comm;
   prompt.op = op;

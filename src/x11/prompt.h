@@ -30,6 +30,7 @@ class XServer;
 
 struct Prompt {
   std::uint64_t id = 0;
+  std::int64_t shown_at_ns = 0;  // when ask() raised it (resolves instantly)
   int pid = -1;
   std::string comm;
   util::Op op = util::Op::kDeviceOther;

@@ -7,6 +7,8 @@
 namespace overhaul::audit {
 namespace {
 
+using util::StringTable;
+
 BinRecord make(std::int64_t t, std::uint32_t comm_id = 0,
                std::uint32_t detail_id = 0) {
   BinRecord r;

@@ -92,6 +92,42 @@ TEST_F(TimelineTest, SortedByTime) {
   }
 }
 
+// A prompt is placed when it was raised, not when the timeline is built: a
+// decision that came later must sort after it.
+TEST(TimelinePromptTest, PromptPrecedesLaterDecision) {
+  OverhaulConfig cfg;
+  cfg.prompt_mode = true;
+  OverhaulSystem sys(cfg);
+  auto daemon = sys.launch_daemon("/usr/bin/backup", "backup").value();
+  const sim::Timestamp asked = sys.clock().now();
+  // No user agent: the prompt goes unanswered and fails closed.
+  (void)sys.kernel().sys_open(daemon, OverhaulSystem::mic_path(),
+                              kern::OpenFlags::kRead);
+  ASSERT_EQ(sys.xserver().prompts().history().size(), 1u);
+
+  sys.advance(sim::Duration::seconds(5));
+  auto app = sys.launch_gui_app("/usr/bin/rec", "rec").value();
+  const auto& r = sys.xserver().window(app.window)->rect();
+  sys.input().click(r.x + 1, r.y + 1);
+  ASSERT_TRUE(sys.kernel()
+                  .sys_open(app.pid, OverhaulSystem::mic_path(),
+                            kern::OpenFlags::kRead)
+                  .is_ok());
+
+  const auto entries = build_timeline(sys);
+  std::size_t prompt_at = entries.size();
+  std::size_t last_decision_at = entries.size();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (entries[i].kind == TimelineKind::kPrompt) prompt_at = i;
+    if (entries[i].kind == TimelineKind::kDecision) last_decision_at = i;
+  }
+  ASSERT_LT(prompt_at, entries.size());
+  ASSERT_LT(last_decision_at, entries.size());
+  EXPECT_EQ(entries[prompt_at].time.ns, asked.ns);
+  EXPECT_GT(entries[last_decision_at].time.ns, asked.ns);
+  EXPECT_LT(prompt_at, last_decision_at);
+}
+
 TEST_F(TimelineTest, EmptySystemEmptyTimeline) {
   OverhaulSystem fresh;
   EXPECT_TRUE(build_timeline(fresh).empty());

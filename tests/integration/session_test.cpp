@@ -35,7 +35,7 @@ TEST_F(SessionTest, SkypeAutostartProducesExactlyOneSpuriousAlert) {
 
   ASSERT_EQ(sys_.xserver().alerts().shown_count(), 1u);
   const auto& alert = sys_.xserver().alerts().history()[0];
-  EXPECT_EQ(alert.comm, "skype");
+  EXPECT_EQ(sys_.xserver().alerts().comm(alert), "skype");
   EXPECT_EQ(alert.op, util::Op::kCamera);
   EXPECT_EQ(alert.decision, util::Decision::kDeny);
 }

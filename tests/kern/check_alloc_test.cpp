@@ -4,7 +4,9 @@
 // detail is borrowed as a string_view, ACG grants are a fixed per-Op array,
 // pid→task is a slab load — and since the binary audit pipeline, logging a
 // decision is two warm intern lookups plus a 64-byte ring store, so the
-// contract holds with auditing *enabled* too (asserted below). This binary
+// contract holds with auditing *enabled* too (asserted below). It also holds
+// for alerted decisions on a wired system: the V_{A,op} request borrows the
+// comm and the overlay stores a fixed-size record. This binary
 // overrides the global allocator with counting shims — it must stay its own
 // test executable so the override cannot leak into other suites.
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <new>
 
 #include "audit/sink.h"
+#include "core/system.h"
 #include "kern/permission_monitor.h"
 #include "kern/process_table.h"
 #include "sim/clock.h"
@@ -172,6 +175,74 @@ TEST_F(CheckAllocTest, SlabLookupIsAllocationFree) {
     }
   });
   EXPECT_EQ(n, 0u);
+}
+
+// --- alerted decisions on a wired system --------------------------------------
+//
+// Every granted or denied hardware/screen check in enforce mode raises an
+// overlay alert through PermissionMonitor::check → Kernel's alert forwarding
+// → NetlinkHub::request_alert → the backend's handler → AlertOverlay::show.
+// The operator acknowledges the overlay every kAckEvery checks, as the
+// perfbench fleet does, so its history stays bounded and reuses its storage.
+
+struct AlertedChecks {
+  std::uint64_t allocations = 0;
+  std::uint64_t alerts = 0;  // alerts raised during the measured loop
+};
+
+AlertedChecks run_alerted_checks(core::DisplayBackendKind backend) {
+  constexpr int kAckEvery = 61;
+  core::OverhaulConfig cfg;
+  cfg.display_backend = backend;
+  cfg.trace = false;
+  core::OverhaulSystem sys(cfg);
+  sys.audit().set_capacity(64);
+  const auto app = sys.launch_gui_app("/usr/bin/rec", "rec").value();
+  const Pid spy = sys.launch_daemon("/home/user/.spy", "spyd").value();
+  sys.input().click(10, 10);  // inside the app's surface; the clock stays put
+
+  auto& monitor = sys.kernel().monitor();
+  auto& overlay = sys.display().alert_overlay();
+  std::uint64_t checks = 0;
+  std::uint64_t acked = 0;
+  const auto check = [&](Pid pid, Op op, Decision expect) {
+    ASSERT_EQ(monitor.check_now(pid, op,
+                                op == Op::kMicrophone ? "/dev/snd/mic0"
+                                                      : "root-window"),
+              expect);
+    if (++checks % kAckEvery == 0) {
+      acked += overlay.shown_count();
+      overlay.clear_history();
+    }
+  };
+  const auto round = [&] {
+    for (Op op : {Op::kMicrophone, Op::kScreenCapture}) {
+      check(app.pid, op, Decision::kGrant);
+      check(spy, op, Decision::kDeny);
+    }
+  };
+
+  for (int i = 0; i < 64; ++i) round();  // warm the interners, ring, history
+  const std::uint64_t acked_before = acked + overlay.shown_count();
+  const std::uint64_t before = g_allocations.load();
+  for (int i = 0; i < 250; ++i) round();
+  AlertedChecks out;
+  out.allocations = g_allocations.load() - before;
+  out.alerts = acked + overlay.shown_count() - acked_before;
+  return out;
+}
+
+TEST(AlertedCheckAllocTest, X11GrantedAndDeniedAlertsAllocateNothing) {
+  const AlertedChecks r = run_alerted_checks(core::DisplayBackendKind::kX11);
+  EXPECT_EQ(r.alerts, 1'000u);
+  EXPECT_EQ(r.allocations, 0u);
+}
+
+TEST(AlertedCheckAllocTest, WaylandGrantedAndDeniedAlertsAllocateNothing) {
+  const AlertedChecks r =
+      run_alerted_checks(core::DisplayBackendKind::kWayland);
+  EXPECT_EQ(r.alerts, 1'000u);
+  EXPECT_EQ(r.allocations, 0u);
 }
 
 // Sanity: the counter actually observes heap traffic (guards against the

@@ -204,7 +204,7 @@ TEST_F(ThreatMatrix, S4_EveryBlockedSensitiveAccessAlerts) {
   ASSERT_EQ(sys_.xserver().alerts().shown_count(), 2u);
   for (const auto& alert : sys_.xserver().alerts().history()) {
     EXPECT_TRUE(sys_.xserver().alerts().is_authentic(alert));
-    EXPECT_EQ(alert.comm, "spyd");
+    EXPECT_EQ(sys_.xserver().alerts().comm(alert), "spyd");
   }
 }
 
@@ -216,8 +216,9 @@ TEST_F(ThreatMatrix, S4_ClientWindowsCannotCarrySecret) {
   auto attacker = gui("fakealert", {0, 0, 1024, 768});
   (void)attacker;
   EXPECT_EQ(sys_.xserver().alerts().active(sys_.clock().now()).size(), 1u);
-  x11::Alert forged;
-  forged.text = "spyd is recording from the microphone";
+  display::Alert forged;
+  forged.pid = spy->pid();
+  forged.op = util::Op::kMicrophone;
   EXPECT_FALSE(sys_.xserver().alerts().is_authentic(forged));
 }
 
@@ -233,7 +234,8 @@ TEST_F(ThreatMatrix, S4_AlertsNameTheActualAccessor) {
                                    kern::OpenFlags::kRead);
   ASSERT_TRUE(fd.is_ok());
   ASSERT_EQ(sys_.xserver().alerts().shown_count(), 1u);
-  EXPECT_EQ(sys_.xserver().alerts().history()[0].comm, "shot");
+  const auto& alerts = sys_.xserver().alerts();
+  EXPECT_EQ(alerts.comm(alerts.history()[0]), "shot");
 }
 
 // --- cross-cutting: the audit log is tamper-free from userspace ------------------

@@ -1,5 +1,5 @@
 // Trusted output path tests (§IV-A "Trusted output", Fig. 5).
-#include "x11/alert.h"
+#include "display/alert.h"
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,8 @@
 namespace overhaul::x11 {
 namespace {
 
+using display::Alert;
+using display::AlertOverlay;
 using util::Decision;
 using util::Op;
 
@@ -30,14 +32,49 @@ TEST(AlertOverlay, ShowsAndExpires) {
 TEST(AlertOverlay, TextNamesProcessAndResource) {
   sim::Clock clock;
   AlertOverlay overlay(clock);
-  const Alert& denied = overlay.show(1, "spyd", Op::kCamera, Decision::kDeny);
-  EXPECT_NE(denied.text.find("spyd"), std::string::npos);
-  EXPECT_NE(denied.text.find("camera"), std::string::npos);
-  EXPECT_NE(denied.text.find("Blocked"), std::string::npos);
-  const Alert& granted =
-      overlay.show(2, "skype", Op::kMicrophone, Decision::kGrant);
-  EXPECT_EQ(granted.text.find("Blocked"), std::string::npos);
-  EXPECT_NE(granted.text.find("microphone"), std::string::npos);
+  const std::string denied =
+      overlay.text(overlay.show(1, "spyd", Op::kCamera, Decision::kDeny));
+  EXPECT_NE(denied.find("spyd"), std::string::npos);
+  EXPECT_NE(denied.find("camera"), std::string::npos);
+  EXPECT_NE(denied.find("Blocked"), std::string::npos);
+  const std::string granted = overlay.text(
+      overlay.show(2, "skype", Op::kMicrophone, Decision::kGrant));
+  EXPECT_EQ(granted.find("Blocked"), std::string::npos);
+  EXPECT_NE(granted.find("microphone"), std::string::npos);
+
+  // The message is rendered on read, byte for byte what the overlay used
+  // to store per alert.
+  const auto text = [&](Op op, Decision d) {
+    return overlay.text(overlay.show(3, "app", op, d));
+  };
+  EXPECT_EQ(text(Op::kMicrophone, Decision::kGrant),
+            "app is recording from the microphone");
+  EXPECT_EQ(text(Op::kCamera, Decision::kGrant), "app is using the camera");
+  EXPECT_EQ(text(Op::kScreenCapture, Decision::kGrant),
+            "app is capturing the screen");
+  EXPECT_EQ(text(Op::kDeviceOther, Decision::kGrant),
+            "app is accessing a protected device");
+  EXPECT_EQ(text(Op::kCopy, Decision::kGrant), "app copied to the clipboard");
+  EXPECT_EQ(text(Op::kPaste, Decision::kGrant),
+            "app pasted from the clipboard");
+  EXPECT_EQ(text(Op::kMicrophone, Decision::kDeny),
+            "Blocked: app tried and is recording from the microphone");
+  EXPECT_EQ(text(Op::kPaste, Decision::kDeny),
+            "Blocked: app tried and pasted from the clipboard");
+}
+
+TEST(AlertOverlay, RepeatedCommsShareOneId) {
+  sim::Clock clock;
+  AlertOverlay overlay(clock);
+  overlay.set_shared_secret("cat");
+  const Alert a = overlay.show(9, "spyd", Op::kCamera, Decision::kDeny);
+  EXPECT_EQ(overlay.comm(a), "spyd");
+  EXPECT_EQ(a.pid, 9);
+  EXPECT_EQ(a.op, Op::kCamera);
+  EXPECT_EQ(a.decision, Decision::kDeny);
+  const Alert b = overlay.show(10, "spyd", Op::kCamera, Decision::kGrant);
+  EXPECT_EQ(a.comm_id, b.comm_id);
+  EXPECT_EQ(a.secret_id, b.secret_id);
 }
 
 TEST(AlertOverlay, AuthenticityRequiresSecret) {
@@ -48,12 +85,36 @@ TEST(AlertOverlay, AuthenticityRequiresSecret) {
   EXPECT_TRUE(overlay.is_authentic(real));
 
   // A forged alert (painted by a client window) has no secret.
-  Alert forged;
-  forged.text = "app is recording from the microphone";
-  forged.secret = "";  // attacker cannot know the secret
+  Alert forged = real;
+  forged.secret_id = 0;  // attacker cannot know the secret
   EXPECT_FALSE(overlay.is_authentic(forged));
-  forged.secret = "guess";
+  // Nor does stamping it with the wrong secret: one that is not in the
+  // overlay's table at all, or a string the table holds that is not the
+  // secret (the comm it interned for the genuine alert).
+  forged.secret_id = real.secret_id + 100;
   EXPECT_FALSE(overlay.is_authentic(forged));
+  forged.secret_id = real.comm_id;
+  ASSERT_EQ(overlay.comm(forged), "app");
+  EXPECT_FALSE(overlay.is_authentic(forged));
+}
+
+TEST(AlertOverlay, ChangingTheSecretRetiresOldAlerts) {
+  sim::Clock clock;
+  AlertOverlay overlay(clock);
+  overlay.set_shared_secret("visual-secret:tabby-cat");
+  const Alert old = overlay.show(1, "app", Op::kCamera, Decision::kGrant);
+  ASSERT_TRUE(overlay.is_authentic(old));
+  overlay.set_shared_secret("visual-secret:parrot");
+  EXPECT_FALSE(overlay.is_authentic(old));
+  const Alert fresh = overlay.show(1, "app", Op::kCamera, Decision::kGrant);
+  EXPECT_TRUE(overlay.is_authentic(fresh));
+  // Value semantics: the secret is compared, not the moment it was set.
+  overlay.set_shared_secret("visual-secret:tabby-cat");
+  EXPECT_TRUE(overlay.is_authentic(old));
+  EXPECT_FALSE(overlay.is_authentic(fresh));
+  // An alert keeps the secret it was stamped with on screen.
+  EXPECT_NE(overlay.render_banner(fresh).find("visual-secret:parrot"),
+            std::string::npos);
 }
 
 TEST(AlertOverlay, BannerRendersSecretAndMessage) {
@@ -62,19 +123,28 @@ TEST(AlertOverlay, BannerRendersSecretAndMessage) {
   overlay.set_shared_secret("visual-secret:tabby-cat");
   const Alert& alert =
       overlay.show(7, "skype", Op::kMicrophone, Decision::kGrant);
-  const std::string banner = AlertOverlay::render_banner(alert);
+  const std::string banner = overlay.render_banner(alert);
   EXPECT_NE(banner.find("visual-secret:tabby-cat"), std::string::npos);
   EXPECT_NE(banner.find("skype is recording"), std::string::npos);
   // Three lines: top border, body, bottom border.
   EXPECT_EQ(std::count(banner.begin(), banner.end(), '\n'), 3);
+  EXPECT_EQ(banner,
+            "+-------------------------------------------------------------"
+            "-----+\n"
+            "| visual-secret:tabby-cat | skype is recording from the "
+            "microphone |\n"
+            "+-------------------------------------------------------------"
+            "-----+\n");
 }
 
 TEST(AlertOverlay, BannerFlagsMissingSecret) {
   sim::Clock clock;
   AlertOverlay overlay(clock);
   const Alert& alert = overlay.show(7, "x", Op::kCamera, Decision::kDeny);
-  EXPECT_NE(AlertOverlay::render_banner(alert).find("(no secret!)"),
-            std::string::npos);
+  EXPECT_EQ(overlay.render_banner(alert),
+            "+---------------------------------------------------------+\n"
+            "| (no secret!) | Blocked: x tried and is using the camera |\n"
+            "+---------------------------------------------------------+\n");
 }
 
 TEST(AlertOverlay, NoSecretConfiguredMeansNothingAuthentic) {
@@ -98,7 +168,7 @@ TEST_F(AlertSystemTest, BlockedDeviceAccessRaisesAlert) {
   EXPECT_EQ(fd.code(), util::Code::kOverhaulDenied);
   auto& alerts = sys_.xserver().alerts();
   ASSERT_EQ(alerts.shown_count(), 1u);
-  EXPECT_EQ(alerts.history()[0].comm, "spy");
+  EXPECT_EQ(alerts.comm(alerts.history()[0]), "spy");
   EXPECT_EQ(alerts.history()[0].op, Op::kMicrophone);
   EXPECT_EQ(alerts.history()[0].decision, Decision::kDeny);
   EXPECT_TRUE(alerts.is_authentic(alerts.history()[0]));
