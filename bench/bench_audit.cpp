@@ -1,11 +1,12 @@
 // Binary-vs-text audit append microbenchmark (DESIGN.md §16).
 //
-// Replays the same decision stream into the old text `util::AuditLog` (an
-// AuditRecord with two heap std::strings per append, the path every mediated
-// decision used to pay) and into the binary `audit::Sink` (two warm intern
-// lookups + one 64-byte ring store). Both rings run full — the fleet's
-// steady state — so the text path pays its per-append allocate/free churn
-// and the binary path its masked overwrite.
+// Replays the same decision stream into the frozen text log
+// (`bench::TextAuditLog` in text_audit_log.h: an AuditRecord with two heap
+// std::strings per append, the path every mediated decision used to pay)
+// and into the binary `audit::Sink` (two warm intern lookups + one 64-byte
+// ring store). Both rings run full — the fleet's steady state — so the text
+// path pays its per-append allocate/free churn and the binary path its
+// masked overwrite.
 //
 // The gate is the ratio: binary append must be >= 3x faster than the text
 // path (enforced in optimized builds; advisory otherwise). Absolute ns/op
@@ -23,6 +24,7 @@
 
 #include "audit/sink.h"
 #include "bench_report.h"
+#include "text_audit_log.h"
 #include "util/audit_log.h"
 
 using namespace overhaul;
@@ -66,7 +68,7 @@ double best_ns_per_op(int ops, const std::function<void()>& fn) {
 
 // The text path exactly as PermissionMonitor::check used to build it: a
 // fresh AuditRecord whose comm/detail are copied into heap strings.
-double run_text(util::AuditLog* log) {
+double run_text(bench::TextAuditLog* log) {
   return best_ns_per_op(g_append_iters, [&] {
     for (int i = 0; i < g_append_iters; ++i) {
       util::AuditRecord rec;
@@ -107,11 +109,11 @@ int main(int argc, char** argv) {
     std::printf("(--quick: iteration counts divided by 20, 3 repetitions)\n");
   }
 
-  std::printf("Audit append: text AuditLog vs binary ring (best of %d reps, "
+  std::printf("Audit append: text log vs binary ring (best of %d reps, "
               "ring capacity %zu)\n\n",
               g_reps, kRingCapacity);
 
-  util::AuditLog text_log;
+  bench::TextAuditLog text_log;
   text_log.set_capacity(kRingCapacity);
   const double text_ns = run_text(&text_log);
 
@@ -120,7 +122,8 @@ int main(int argc, char** argv) {
 
   const double speedup = bin_ns > 0 ? text_ns / bin_ns : 0;
   const double mem_bin = static_cast<double>(sink.memory_bytes());
-  const double mem_text = static_cast<double>(sink.text_equiv_bytes());
+  const std::size_t text_bytes = bench::text_equiv_bytes(sink.ring());
+  const double mem_text = static_cast<double>(text_bytes);
   const double mem_ratio = mem_bin > 0 ? mem_text / mem_bin : 0;
 
   std::printf("%-16s %10.1f ns/op   (AuditRecord + 2 heap strings, "
@@ -131,7 +134,7 @@ int main(int argc, char** argv) {
   std::printf("%-16s %10zu bytes  (records + intern payload)\n",
               "binary-memory", sink.memory_bytes());
   std::printf("%-16s %10zu bytes  (same records as text-log entries)\n",
-              "text-memory", sink.text_equiv_bytes());
+              "text-memory", text_bytes);
   std::printf("\nbinary append speedup: %.2fx (gate: >= 3x)\n", speedup);
 
   bench::JsonReport report("audit");
@@ -143,7 +146,7 @@ int main(int argc, char** argv) {
   report.add("binary_append_ns_per_op", bin_ns);
   report.add("binary_speedup", speedup);
   report.add("binary_memory_bytes", sink.memory_bytes());
-  report.add("text_equiv_memory_bytes", sink.text_equiv_bytes());
+  report.add("text_equiv_memory_bytes", text_bytes);
   report.add("memory_ratio", mem_ratio);
   (void)report.write("BENCH_audit.json");
 

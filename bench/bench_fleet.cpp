@@ -31,6 +31,7 @@
 #include "bench_report.h"
 #include "fleet/harness.h"
 #include "sim/parallel.h"
+#include "text_audit_log.h"
 #include "util/histogram.h"
 #include "util/rng.h"
 
@@ -329,7 +330,7 @@ int main(int argc, char** argv) {
   for (fleet::ShardId id = 0; id < f.shard_count(); ++id) {
     const auto& sink = f.shard(id).kernel().audit();
     audit_bytes_binary += sink.memory_bytes();
-    audit_bytes_text_equiv += sink.text_equiv_bytes();
+    audit_bytes_text_equiv += bench::text_equiv_bytes(sink.ring());
   }
 
   std::printf("mix: %.3f s wall for %llu steps — %llu decisions (%.0f/s), "

@@ -50,7 +50,7 @@ int main() {
 
   std::printf("\naudit log:\n");
   for (const auto& rec : sys.audit().records()) {
-    std::printf("  %s\n", util::AuditLog::format(rec).c_str());
+    std::printf("  %s\n", util::format_line(rec).c_str());
   }
   return 0;
 }

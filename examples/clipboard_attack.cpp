@@ -100,7 +100,7 @@ int main() {
   std::printf("\nclipboard decisions in the audit log:\n");
   for (const auto& rec : sys.audit().records()) {
     if (rec.op == util::Op::kCopy || rec.op == util::Op::kPaste) {
-      std::printf("  %s\n", util::AuditLog::format(rec).c_str());
+      std::printf("  %s\n", util::format_line(rec).c_str());
     }
   }
   return 0;

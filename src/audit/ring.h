@@ -1,8 +1,8 @@
 // Power-of-two bounded binary decision ring — one per fleet shard
 // (DESIGN.md §16).
 //
-// Same observable semantics as the text `util::AuditLog` it replaces on the
-// hot path: bounded like a rotated syslog (oldest record dropped per append
+// Same observable semantics as the deque-of-strings text log it replaced on
+// the hot path (frozen as bench_audit's comparator, bench/text_audit_log.h): bounded like a rotated syslog (oldest record dropped per append
 // once full), with `total_appended`/`dropped` lifetime totals unaffected by
 // eviction. Unlike the deque-of-strings log, a full ring appends with a
 // single 64-byte struct store and a head-mask increment — no allocation, no
@@ -22,10 +22,10 @@ namespace overhaul::audit {
 
 class Ring {
  public:
-  // 1M records ≈ 64 MiB when full — comfortably the §V-D 21-day stream, same
-  // default as the text log. Storage grows geometrically toward the cap as
-  // records arrive (an idle shard's ring costs nothing), so a 1024-seat
-  // fleet does not eagerly reserve 64 GiB.
+  // 2^20 records ≈ 64 MiB when full — comfortably the §V-D 21-day stream.
+  // Storage grows geometrically toward the cap as records arrive (an idle
+  // shard's ring costs nothing), so a 1024-seat fleet does not eagerly
+  // reserve 64 GiB.
   static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 20;
 
   // Capacity is rounded up to a power of two (0 stays 0: every append is

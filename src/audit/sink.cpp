@@ -1,7 +1,5 @@
 #include "audit/sink.h"
 
-#include <string>
-
 namespace overhaul::audit {
 
 std::size_t Sink::count(util::Decision decision) const noexcept {
@@ -23,23 +21,14 @@ std::size_t Sink::count(util::Op op,
   return n;
 }
 
-util::AuditRecord Sink::decode(std::size_t i) const {
-  const BinRecord& r = ring_.at(i);
-  util::AuditRecord out;
-  out.time_ns = r.time_ns;
-  out.pid = r.pid;
-  out.comm = std::string(ring_.string_at(r.comm_id));
-  out.op = static_cast<util::Op>(r.op);
-  out.decision = static_cast<util::Decision>(r.decision);
-  out.interaction_age_ns = r.interaction_age_ns;
-  out.detail = std::string(ring_.string_at(r.detail_id));
-  return out;
-}
-
 std::vector<util::AuditRecord> Sink::records() const {
   std::vector<util::AuditRecord> out;
   out.reserve(ring_.size());
-  for (std::size_t i = 0; i < ring_.size(); ++i) out.push_back(decode(i));
+  for (std::size_t i = 0; i < ring_.size(); ++i) {
+    const BinRecord& r = ring_.at(i);
+    out.push_back(
+        decode(r, ring_.string_at(r.comm_id), ring_.string_at(r.detail_id)));
+  }
   return out;
 }
 
@@ -47,22 +36,12 @@ std::vector<util::AuditRecord> Sink::filter(
     const std::function<bool(const util::AuditRecord&)>& pred) const {
   std::vector<util::AuditRecord> out;
   for (std::size_t i = 0; i < ring_.size(); ++i) {
-    util::AuditRecord rec = decode(i);
+    const BinRecord& r = ring_.at(i);
+    util::AuditRecord rec =
+        decode(r, ring_.string_at(r.comm_id), ring_.string_at(r.detail_id));
     if (pred(rec)) out.push_back(std::move(rec));
   }
   return out;
-}
-
-std::size_t Sink::text_equiv_bytes() const noexcept {
-  // What the same live records would occupy as text-log entries: the record
-  // struct itself plus its two heap strings' payloads.
-  std::size_t bytes = 0;
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    const BinRecord& r = ring_.at(i);
-    bytes += sizeof(util::AuditRecord) + ring_.string_at(r.comm_id).size() +
-             ring_.string_at(r.detail_id).size();
-  }
-  return bytes;
 }
 
 }  // namespace overhaul::audit

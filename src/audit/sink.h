@@ -1,14 +1,15 @@
-// Thin compatibility facade over the binary decision ring (DESIGN.md §16).
+// The live audit log: a thin facade over the binary decision ring
+// (DESIGN.md §16).
 //
 // Producers (PermissionMonitor on behalf of every mediation layer: VFS
 // device opens, X11/Wayland selection + capture, fleet shards) append
 // through `append_decision`, which interns the two strings and stores one
 // 64-byte BinRecord — zero allocations steady-state, the property the
 // counting-allocator test asserts with auditing enabled. Consumers
-// (audit_report, timeline, tests, examples) keep the text `AuditLog` query
-// vocabulary — count/filter/records/format — with records decoded on demand,
-// so the swap under the kernel did not ripple a new API through every
-// reader.
+// (audit_report, timeline, tests, examples) count and filter over the
+// binary records, or take decoded `util::AuditRecord` views and render them
+// with `util::format_line` — the same formatter `audit_dump` uses on
+// snapshots.
 #pragma once
 
 #include <cstdint>
@@ -44,12 +45,6 @@ class Sink {
     ring_.append(rec);
   }
 
-  // Compatibility shim for callers still building a text record.
-  void append(const util::AuditRecord& record) {
-    append_decision(record.time_ns, record.pid, record.comm, record.op,
-                    record.decision, record.interaction_age_ns, record.detail);
-  }
-
   void clear() { ring_.clear(); }
   void set_capacity(std::size_t cap) { ring_.set_capacity(cap); }
   [[nodiscard]] std::size_t capacity() const noexcept {
@@ -68,33 +63,18 @@ class Sink {
   [[nodiscard]] std::size_t count(util::Op op,
                                   util::Decision decision) const noexcept;
 
-  // Decoded views for consumers that want the text-log record shape. The
-  // deque-returning AuditLog API becomes a by-value vector here; every
-  // call site range-fors or indexes, so the change is source-compatible.
-  [[nodiscard]] util::AuditRecord decode(std::size_t i) const;
+  // Decoded views, oldest first, by value.
   [[nodiscard]] std::vector<util::AuditRecord> records() const;
   [[nodiscard]] std::vector<util::AuditRecord> filter(
       const std::function<bool(const util::AuditRecord&)>& pred) const;
 
-  // Render one record as a single log line — delegates to the text log's
-  // formatter, which keeps audit_dump / backend-diff output byte-identical.
-  [[nodiscard]] static std::string format(const util::AuditRecord& record) {
-    return util::AuditLog::format(record);
-  }
-  [[nodiscard]] std::string format_at(std::size_t i) const {
-    return format(decode(i));
-  }
-
   [[nodiscard]] const Ring& ring() const noexcept { return ring_; }
   Ring& ring() noexcept { return ring_; }
 
-  // Bytes the binary pipeline holds (records + intern payload), and what the
-  // same stream would cost as text-log records — the bench_fleet RSS-proxy
-  // delta reports both.
+  // Bytes the binary pipeline holds (records + intern payload).
   [[nodiscard]] std::size_t memory_bytes() const noexcept {
     return ring_.memory_bytes();
   }
-  [[nodiscard]] std::size_t text_equiv_bytes() const noexcept;
 
  private:
   Ring ring_;

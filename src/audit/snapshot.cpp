@@ -198,16 +198,4 @@ std::vector<BinRecord> Reader::filter(
   return out;
 }
 
-util::AuditRecord Reader::decode(const BinRecord& rec) const {
-  util::AuditRecord out;
-  out.time_ns = rec.time_ns;
-  out.pid = rec.pid;
-  out.comm = std::string(string_at(rec.comm_id));
-  out.op = static_cast<util::Op>(rec.op);
-  out.decision = static_cast<util::Decision>(rec.decision);
-  out.interaction_age_ns = rec.interaction_age_ns;
-  out.detail = std::string(string_at(rec.detail_id));
-  return out;
-}
-
 }  // namespace overhaul::audit

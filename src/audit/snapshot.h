@@ -24,7 +24,6 @@
 
 #include "audit/record.h"
 #include "audit/ring.h"
-#include "util/audit_log.h"
 
 namespace overhaul::audit {
 
@@ -86,21 +85,14 @@ class Reader {
   }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
 
-  // Query helpers mirroring util::AuditLog, over decoded records.
+  // Queries over the loaded records — no string decode needed. Render one
+  // with util::format_line(decode(rec, string_at(rec.comm_id),
+  // string_at(rec.detail_id))).
   [[nodiscard]] std::size_t count(util::Decision decision) const noexcept;
   [[nodiscard]] std::size_t count(util::Op op,
                                   util::Decision decision) const noexcept;
   [[nodiscard]] std::vector<BinRecord> filter(
       const std::function<bool(const BinRecord&)>& pred) const;
-
-  // Rehydrates the text-log record (strings resolved from the snapshot's
-  // intern table).
-  [[nodiscard]] util::AuditRecord decode(const BinRecord& rec) const;
-  // Renders a record exactly as util::AuditLog::format does — byte-identical
-  // by construction (it *is* that function, fed the decoded record).
-  [[nodiscard]] std::string format(const BinRecord& rec) const {
-    return util::AuditLog::format(decode(rec));
-  }
 
  private:
   std::vector<BinRecord> records_;

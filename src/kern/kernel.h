@@ -196,8 +196,8 @@ class Kernel {
   // it during construction/attachment.
   obs::Observability obs_{clock_};
 
-  // The per-shard binary decision ring behind the AuditLog-compatible
-  // facade (DESIGN.md §16).
+  // The per-shard binary decision ring behind the audit::Sink facade
+  // (DESIGN.md §16).
   audit::Sink audit_;
   ProcessTable processes_;
   Vfs vfs_;

@@ -1,20 +1,18 @@
-// Structured audit log of Overhaul policy decisions.
+// Audit vocabulary for Overhaul policy decisions.
 //
 // The paper relies on Overhaul's logs in two evaluation sections: §V-C uses
 // them to verify clipboard decisions without visual alerts, and §V-D inspects
 // them after the 21-day deployment ("We checked OVERHAUL's logs and verified
 // that attempts to access the protected resources were detected and
-// blocked"). This log is that facility: an append-only record of every
-// grant/deny with enough context to drive those analyses.
+// blocked"). The log itself is the binary decision ring behind audit::Sink
+// (DESIGN.md §16); this header holds the shared vocabulary — the mediated
+// operations, the decision, the decoded record view — and the one line
+// formatter every reader renders records through.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <string>
-#include <vector>
-
-#include "util/annotations.h"
+#include <string_view>
 
 namespace overhaul::util {
 
@@ -38,6 +36,8 @@ std::string_view op_name(Op op) noexcept;
 
 enum class Decision : std::uint8_t { kGrant, kDeny };
 
+// One decision with its strings resolved — the decoded view of an
+// audit::BinRecord.
 struct AuditRecord {
   std::int64_t time_ns = 0;   // virtual time of the decision
   int pid = -1;               // requesting process
@@ -48,73 +48,12 @@ struct AuditRecord {
   std::string detail;                    // device path, selection atom, ...
 };
 
-// Decision log with simple query helpers, bounded as a ring: once capacity
-// is reached the oldest record is dropped per append, like a rotated syslog.
-// The default capacity comfortably holds the §V-D 21-day deployment's record
-// stream; long-running harnesses that want stricter memory bounds can lower
-// it. Not thread-safe; the simulation is single-threaded by design
-// (determinism).
-class AuditLog {
- public:
-  static constexpr std::size_t kDefaultCapacity = 1'000'000;
-
-  void append(AuditRecord record) {
-    ++total_appended_;
-    if (capacity_ == 0) {
-      // Zero-capacity log: count the drop without touching storage — the
-      // push-then-trim loop below would otherwise allocate and free a deque
-      // node per append just to throw the record away.
-      ++dropped_;
-      return;
-    }
-    records_.push_back(std::move(record));
-    while (records_.size() > capacity_) {
-      records_.pop_front();
-      ++dropped_;
-    }
-  }
-  void clear() {
-    records_.clear();
-    total_appended_ = 0;
-    dropped_ = 0;
-  }
-
-  // Shrinking below the current size evicts oldest records immediately.
-  void set_capacity(std::size_t cap) {
-    capacity_ = cap;
-    while (records_.size() > capacity_) {
-      records_.pop_front();
-      ++dropped_;
-    }
-  }
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
-
-  [[nodiscard]] const std::deque<AuditRecord>& records() const noexcept {
-    return records_;
-  }
-  [[nodiscard]] std::size_t size() const noexcept { return records_.size(); }
-  // Lifetime totals, unaffected by ring eviction.
-  [[nodiscard]] std::uint64_t total_appended() const noexcept {
-    return total_appended_;
-  }
-  [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
-
-  [[nodiscard]] std::size_t count(Decision decision) const noexcept;
-  [[nodiscard]] std::size_t count(Op op, Decision decision) const noexcept;
-  [[nodiscard]] std::vector<AuditRecord> filter(
-      const std::function<bool(const AuditRecord&)>& pred) const;
-
-  // Render one record as a single log line (used by examples and harnesses).
-  static std::string format(const AuditRecord& record);
-
- private:
-  // The one log every shard's monitor appends into once the sim goes
-  // parallel — mutation stays behind the three members that maintain the
-  // ring invariant (size ≤ capacity, totals monotone).
-  OVERHAUL_SHARED(append|clear|set_capacity) std::deque<AuditRecord> records_;
-  OVERHAUL_SHARD_LOCAL std::size_t capacity_ = kDefaultCapacity;
-  OVERHAUL_SHARED(append|clear|set_capacity) std::uint64_t total_appended_ = 0;
-  OVERHAUL_SHARED(append|clear|set_capacity) std::uint64_t dropped_ = 0;
-};
+// Renders one record as a single log line:
+//   [    1.500000s] pid=100    testapp      op=mic   DENY  age=0.250s /dev/snd/mic0
+// `comm` and `detail` come from untrusted clients (a selection name, a
+// process name, a snapshot file), so every byte of them outside 0x20–0x7E,
+// and every '\', is printed as \xNN: a record is always exactly one line,
+// shown in full.
+std::string format_line(const AuditRecord& record);
 
 }  // namespace overhaul::util

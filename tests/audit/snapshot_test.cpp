@@ -57,6 +57,7 @@ TEST(Snapshot, RoundTripPropertyRandomStreams) {
     ASSERT_EQ(reader.size(), sink.size()) << "seed " << seed;
     EXPECT_EQ(reader.total_appended(), sink.total_appended());
     EXPECT_EQ(reader.dropped(), sink.dropped());
+    const std::vector<util::AuditRecord> live = sink.records();
     for (std::size_t i = 0; i < reader.size(); ++i) {
       // Bit-identical record payloads...
       EXPECT_EQ(std::memcmp(&reader.records()[i], &sink.ring().at(i),
@@ -64,7 +65,10 @@ TEST(Snapshot, RoundTripPropertyRandomStreams) {
                 0)
           << "seed " << seed << " record " << i;
       // ...and identical string resolution + rendered line.
-      EXPECT_EQ(reader.format(reader.records()[i]), sink.format_at(i))
+      const BinRecord& rec = reader.records()[i];
+      EXPECT_EQ(util::format_line(decode(rec, reader.string_at(rec.comm_id),
+                                         reader.string_at(rec.detail_id))),
+                util::format_line(live[i]))
           << "seed " << seed << " record " << i;
     }
   }

@@ -33,6 +33,17 @@ class SelectionTest : public ::testing::Test {
     (void)x_.raise_window(app.client(), app.window());
     sys_.input().click(cx, cy);
   }
+
+  // The audit lines of every denied copy, as an operator reads them.
+  std::vector<std::string> denied_copy_lines() {
+    std::vector<std::string> lines;
+    for (const auto& rec : sys_.audit().filter([](const util::AuditRecord& r) {
+           return r.op == util::Op::kCopy &&
+                  r.decision == util::Decision::kDeny;
+         }))
+      lines.push_back(util::format_line(rec));
+    return lines;
+  }
 };
 
 TEST_F(SelectionTest, CopyWithoutInteractionDenied) {
@@ -40,6 +51,37 @@ TEST_F(SelectionTest, CopyWithoutInteractionDenied) {
                                                pm_->window());
   EXPECT_EQ(s.code(), util::Code::kBadAccess);
   EXPECT_EQ(x_.selections().stats().copies_denied, 1u);
+}
+
+// The selection name is client-chosen and lands in the audit record's
+// detail. A client with no user input must not be able to forge a second
+// audit line (here a mic GRANT) through it.
+TEST_F(SelectionTest, NewlineInSelectionNameCannotForgeAuditLine) {
+  const std::string name =
+      "X\n[    4.000000s] pid=1      init         op=mic   GRANT "
+      "age=0.001s /dev/snd/mic0";
+  EXPECT_EQ(x_.selections()
+                .set_selection_owner(pm_->client(), name, pm_->window())
+                .code(),
+            util::Code::kBadAccess);
+  const std::vector<std::string> lines = denied_copy_lines();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_EQ(lines[0].find('\n'), std::string::npos) << lines[0];
+  EXPECT_TRUE(lines[0].ends_with(
+      "op=copy  DENY  age=-1.000s X\\x0a[    4.000000s] pid=1      init"
+      "         op=mic   GRANT age=0.001s /dev/snd/mic0"))
+      << lines[0];
+}
+
+TEST_F(SelectionTest, LongSelectionNameAuditsInFull) {
+  const std::string name = std::string(400, 'S') + "END";
+  EXPECT_EQ(x_.selections()
+                .set_selection_owner(pm_->client(), name, pm_->window())
+                .code(),
+            util::Code::kBadAccess);
+  const std::vector<std::string> lines = denied_copy_lines();
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_TRUE(lines[0].ends_with(" " + name)) << lines[0];
 }
 
 TEST_F(SelectionTest, CopyAfterInteractionGranted) {

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# CI-style driver: configure + build + mediation lint + sanitized tests in
-# one command.
+# CI-style gate: configure + build + sanitized tests (the whole-tree lint
+# run among them) + SARIF validation in one command.
 #
 #   tools/check.sh                 # ubsan-asan preset (the default gate)
 #   tools/check.sh asan            # any preset from CMakePresets.json
@@ -42,12 +42,14 @@ cmake --preset "$PRESET"
 step "build"
 cmake --build --preset "$PRESET" -j "$JOBS"
 
-step "overhaul-lint (mediation + concurrency + domain invariants R1-R13, SARIF validated)"
-"./$BUILD_DIR/tools/lint/overhaul-lint" \
-  --root src --rules tools/lint/overhaul_lint.rules \
-  --baseline tools/lint/overhaul_lint.baseline \
-  --cache "$BUILD_DIR/overhaul_lint.cache" \
-  --sarif "$BUILD_DIR/overhaul_lint.sarif" --stats
+# The full suite includes lint.tree, the one whole-tree overhaul-lint run
+# (mediation + concurrency + domain invariants R1-R13), which also writes
+# $BUILD_DIR/overhaul_lint.sarif, and the analyzer's own unit suites.
+step "ctest (preset: $PRESET)"
+rm -f "$BUILD_DIR/overhaul_lint.sarif"
+ctest --preset "$PRESET" -j "$JOBS"
+
+step "lint.tree SARIF (strict JSON + R8-R13 rule metadata)"
 "./$BUILD_DIR/tools/obs/json_check" "$BUILD_DIR/overhaul_lint.sarif"
 # The SARIF must carry the concurrency and domain rule metadata — a
 # regression that silently drops R8-R13 would otherwise pass the
@@ -57,34 +59,16 @@ for rule in R8 R9 R10 R11 R12 R13; do
     echo "missing rule $rule in overhaul_lint.sarif" >&2; exit 1; }
 done
 
-step "ctest (preset: $PRESET)"
-ctest --preset "$PRESET" -j "$JOBS"
-
 # The Wayland-backend battery runs again by name so a regression in the
 # second backend is called out as its own stage even when the full suite
 # above already covered it (and so sanitizer presets gate it explicitly).
 step "ctest -R wl (Wayland backend battery)"
 (cd "$BUILD_DIR" && ctest -R '^wl' --output-on-failure -j "$JOBS")
 
-# Same rationale for the concurrency & determinism battery: the analyzer's
-# dataflow suites plus the whole-tree R8-R10 run gate as a named stage.
-step "ctest lint concurrency battery (R8-R10)"
-(cd "$BUILD_DIR" &&
-  ctest -R '^lint\.(concurrency|DataflowRules|ExtractMembers|ExtractFlow|Explain|Cache)' \
-    --output-on-failure -j "$JOBS")
-
-# And for the domain-aware battery: clock-domain soundness, decision/audit
-# completeness, and barrier discipline (R11-R13) gate as a named stage —
-# the domain-typed taint suites plus the whole-tree lint.domains run.
-step "ctest lint domain battery (R11-R13)"
-(cd "$BUILD_DIR" &&
-  ctest -R '^lint\.(domains|DomainRules|DecisionAudit|BarrierLanes)' \
-    --output-on-failure -j "$JOBS")
-
 # The binary audit pipeline gates as its own stage: ring/intern semantics,
-# snapshot round-trip + corrupt-stream rejection, and the facade's
-# line-for-line equivalence with the text log (incl. the audit_dump CLI run
-# as a subprocess) — DESIGN.md §16.
+# snapshot round-trip + corrupt-stream rejection, the facade's equivalence
+# with the frozen text log (bench/text_audit_log.h), and the audit_dump CLI
+# run as a subprocess — DESIGN.md §16.
 step "ctest -R audit (binary audit pipeline battery)"
 (cd "$BUILD_DIR" && ctest -R '^audit\.' --output-on-failure -j "$JOBS")
 

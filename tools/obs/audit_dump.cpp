@@ -2,15 +2,16 @@
 //
 // Reads a snapshot produced by audit::write_snapshot_file (header + string
 // table + 64-byte records, CRC-checked), validates it, and renders each
-// record through util::AuditLog::format — the rendering is byte-identical
-// to the text log's, so the cross-backend differential oracle and the
-// xshard single-kernel oracle can diff audit_dump output exactly as they
-// diff live audit streams.
+// record through util::format_line — the formatter live readers use, so
+// the cross-backend differential oracle and the xshard single-kernel oracle
+// can diff audit_dump output exactly as they diff live audit streams. The
+// snapshot's strings are outside input: the formatter escapes every
+// non-printable byte, so each record prints as exactly one line.
 //
 // Usage:
 //   audit_dump SNAPSHOT            # one formatted line per record
 //   audit_dump --stats SNAPSHOT    # totals only (records, grants, denials,
-//                                  # lifetime appended/dropped, strings)
+//                                  # lifetime appended/dropped)
 //   audit_dump --deny SNAPSHOT     # only denied decisions
 //
 // Exit 0 on a valid snapshot; 1 on a corrupt/truncated/unsupported one
@@ -73,7 +74,9 @@ int main(int argc, char** argv) {
     if (deny_only &&
         rec.decision != static_cast<std::uint8_t>(Decision::kDeny))
       continue;
-    std::printf("%s\n", reader.format(rec).c_str());
+    const overhaul::util::AuditRecord decoded = overhaul::audit::decode(
+        rec, reader.string_at(rec.comm_id), reader.string_at(rec.detail_id));
+    std::printf("%s\n", overhaul::util::format_line(decoded).c_str());
   }
   return 0;
 }
