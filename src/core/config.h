@@ -13,9 +13,8 @@
 #include <string>
 
 #include "core/display_backend.h"
+#include "display/trusted_input.h"
 #include "kern/kernel.h"
-#include "wl/compositor.h"
-#include "x11/server.h"
 
 namespace overhaul::core {
 
@@ -113,22 +112,14 @@ struct OverhaulConfig {
     return kc;
   }
 
-  [[nodiscard]] x11::XServerConfig xserver_config() const {
-    x11::XServerConfig xc;
-    xc.overhaul_enabled = enabled;
-    xc.visibility_threshold = visibility_threshold;
-    xc.screen_width = screen_width;
-    xc.screen_height = screen_height;
-    return xc;
-  }
-
-  [[nodiscard]] wl::WlCompositorConfig compositor_config() const {
-    wl::WlCompositorConfig wc;
-    wc.overhaul_enabled = enabled;
-    wc.visibility_threshold = visibility_threshold;
-    wc.screen_width = screen_width;
-    wc.screen_height = screen_height;
-    return wc;
+  // Either display server, X11 or Wayland.
+  [[nodiscard]] display::ServerConfig display_config() const {
+    display::ServerConfig dc;
+    dc.overhaul_enabled = enabled;
+    dc.visibility_threshold = visibility_threshold;
+    dc.screen_width = screen_width;
+    dc.screen_height = screen_height;
+    return dc;
   }
 };
 

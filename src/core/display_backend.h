@@ -17,16 +17,21 @@
 //   attach_client        connect_client       WlCompositor::connect_client
 //   open_surface         create_window        create_surface (xdg_toplevel)
 //   show_surface         map_window           map_surface (configure+commit)
-//   hardware_*_press     trusted input path   wl_seat serial-minting path
-//   ask_monitor          ask_monitor          ask_monitor
+//   hardware_*_press     grab/focus/prompt    focus, mint_serial
+//   input_trace          window ids           surface ids
+//   ask_monitor          client -> pid        connection -> pid
 //   alert_overlay        overlay window       layer-shell overlay surface
+// After the per-protocol step, hardware_*_press, input_trace and
+// ask_monitor share one implementation: display::TrustedInput.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <string_view>
 
 #include "display/alert.h"
+#include "display/trusted_input.h"
 #include "display/types.h"
 #include "kern/task.h"
 #include "util/audit_log.h"
@@ -55,6 +60,9 @@ class DisplayBackend {
   // is tagged or validated so it can never mint interaction records.
   virtual void hardware_button_press(int x, int y, int button) = 0;
   virtual void hardware_key_press(int keycode) = 0;
+  // Every delivered key and click, oldest first (display/trusted_input.h).
+  [[nodiscard]] virtual const std::deque<display::InputTraceEntry>&
+  input_trace() const noexcept = 0;
 
   // --- client + surface lifecycle -------------------------------------------
   // The pid is the kernel-verified socket peer; clients cannot forge it.

@@ -70,7 +70,6 @@ class PageFaultEngine {
     std::uint64_t missed_recvs = 0;    // disarmed reads that missed fresher ts
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
 
   // Pre-resolves the fault/re-arm counters (`ipc.shm.page_faults`,
   // `ipc.shm.rearms`). Null detaches. Only the fault path and the re-arm

@@ -127,7 +127,6 @@ class PermissionMonitor {
     std::uint64_t prompted = 0;
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
 
  private:
   [[nodiscard]] static bool op_wants_alert(util::Op op) noexcept {

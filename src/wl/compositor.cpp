@@ -8,33 +8,19 @@ using util::Decision;
 using util::Result;
 using util::Status;
 
-WlCompositor::WlCompositor(kern::Kernel& kernel, WlCompositorConfig config)
+WlCompositor::WlCompositor(kern::Kernel& kernel, display::ServerConfig config)
     : kernel_(kernel),
       config_(config),
       seat_(kernel.clock()),
-      alerts_(kernel.clock()) {
+      alerts_(kernel.clock()),
+      input_(kernel, alerts_, config, "wl") {
   // The compositor runs as a root-owned userspace process spawned from init,
   // exactly like the X server on the other side of the seam.
   auto pid = kernel_.sys_spawn(1, kCompositorExe, "wayland-compositor");
   pid_ = pid.is_ok() ? pid.value() : kern::kNoPid;
-
-  if (config_.overhaul_enabled) {
-    // §IV-A translated: the modified compositor connects to the secure
-    // communication channel upon initialization. The kernel authenticates us
-    // by introspecting our exe path.
-    auto channel = kernel_.netlink().connect(pid_);
-    if (channel.is_ok()) {
-      channel_ = std::move(channel).value();
-      channel_->set_alert_handler([this](const kern::AlertRequest& alert) {
-        alerts_.show(alert.pid, alert.comm, alert.op, alert.decision);
-      });
-    }
-  }
+  input_.connect(pid_);
 
   auto& metrics = kernel_.obs().metrics;
-  c_hw_events_ = metrics.counter("wl.input.hardware_events");
-  c_notifications_ = metrics.counter("wl.input.notifications");
-  c_clickjack_ = metrics.counter("wl.input.clickjack_suppressed");
   c_forged_serials_ = metrics.counter("wl.input.forged_serials");
   data_.attach_obs(metrics.counter("wl.clipboard.copies_granted"),
                    metrics.counter("wl.clipboard.copies_denied"),
@@ -200,15 +186,6 @@ WlSurface* WlCompositor::surface_at(int x, int y) {
 
 // --- trusted input path -------------------------------------------------------
 
-bool WlCompositor::passes_visibility_check(const WlSurface& surf) const {
-  // Same rule as the X11 backend (§IV-A): interaction notifications only for
-  // a mapped surface that has stayed visible above the threshold. Input-only
-  // surfaces are never *visible*, no matter how long they have been mapped.
-  if (!surf.mapped() || surf.input_only()) return false;
-  return surf.visible_for(kernel_.clock().now()) >=
-         config_.visibility_threshold;
-}
-
 void WlCompositor::deliver_input(WlEvent event, WlSurface& surf) {
   WlConnection* owner = connection(surf.owner());
   if (owner == nullptr) return;
@@ -220,34 +197,16 @@ void WlCompositor::deliver_input(WlEvent event, WlSurface& surf) {
   event.serial = serial;
   owner->note_input_serial(serial);
 
-  InputTraceEntry trace;
-  trace.time = kernel_.clock().now();
-  trace.type = event.type;
-  trace.receiver_pid = owner->pid();
-  trace.surface = surf.id();
-  trace.serial = serial;
-
-  ++stats_.hardware_events;
-  c_hw_events_->add();
-  if (config_.overhaul_enabled && channel_ != nullptr) {
-    if (passes_visibility_check(surf)) {
-      kern::InteractionNotification note;
-      note.pid = owner->pid();
-      note.ts = kernel_.clock().now();
-      if (channel_->send_interaction(note).is_ok()) {
-        ++stats_.interaction_notifications;
-        c_notifications_->add();
-        trace.produced_notification = true;
-      }
-    } else {
-      ++stats_.clickjack_suppressed;
-      c_clickjack_->add();
-      trace.clickjack_suppressed = true;
-    }
-  }
-
-  input_trace_.push_back(trace);
-  if (input_trace_.size() > kInputTraceCapacity) input_trace_.pop_front();
+  display::InputEvent in;
+  in.kind = event.type == WlEventType::kKeyboardKey ? display::InputKind::kKey
+                                                    : display::InputKind::kClick;
+  in.receiver_pid = owner->pid();
+  in.target = surf.id();
+  in.serial = serial;
+  in.mapped = surf.mapped();
+  in.see_through = surf.input_only();
+  in.visible_for = surf.visible_for(kernel_.clock().now());
+  (void)input_.mint_interaction(in);
 
   event.surface = surf.id();
   owner->enqueue(std::move(event));
@@ -291,7 +250,7 @@ void WlCompositor::hardware_key_press(int keycode) {
 
 bool WlCompositor::validate_serial(WlClientId client, Serial serial) {
   if (seat_.serial_valid(client, serial)) return true;
-  ++stats_.forged_serials;
+  ++forged_serials_;
   c_forged_serials_->add();
   return false;
 }
@@ -300,18 +259,9 @@ bool WlCompositor::validate_serial(WlClientId client, Serial serial) {
 
 Decision WlCompositor::ask_monitor(std::uint32_t client, util::Op op,
                                    std::string_view detail) {
-  if (!config_.overhaul_enabled)
-    return Decision::kGrant;  // unmodified compositor
-  WlConnection* c = connection(client);
-  if (c == nullptr || channel_ == nullptr) return Decision::kDeny;
-
-  kern::PermissionQuery query;
-  query.pid = c->pid();
-  query.op = op;
-  query.op_time = kernel_.clock().now();
-  query.detail.assign(detail.data(), detail.size());
-  auto reply = channel_->query_permission(query);
-  return reply.is_ok() ? reply.value().decision : Decision::kDeny;
+  const WlConnection* c = connection(client);
+  return input_.query_monitor(c != nullptr ? c->pid() : kern::kNoPid, op,
+                              detail);
 }
 
 }  // namespace overhaul::wl

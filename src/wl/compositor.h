@@ -8,24 +8,20 @@
 //    events mint a serial and (visibility permitting) an interaction
 //    notification at delivery time; a request presenting a forged or
 //    replayed serial mints nothing and is counted.
-//  * Clickjacking defense — notifications only for surfaces that are
-//    mapped, not input-only, and have stayed visible longer than the
-//    threshold; the clock restarts on map and on configure-move/resize.
-//  * Kernel liaison — the compositor process connects the authenticated
-//    netlink channel at startup; sends N_{A,t}, issues Q_{A,t}, receives
-//    V_{A,op}.
+//  * Clickjacking defense, kernel liaison (N_{A,t}, Q_{A,t}, V_{A,op}) —
+//    the shared display::TrustedInput, the same rule and channel as X11;
+//    the visibility clock restarts on map and on configure-move/resize.
 //  * Trusted output — the shared display::AlertOverlay, hosted here as a
 //    layer-shell surface on the topmost overlay layer.
 //  * Resource interposition — WlDataDeviceManager (clipboard) and
 //    WlScreencopyManager (capture) call back into ask_monitor().
 //
-// `WlCompositorConfig::overhaul_enabled = false` gives the unmodified
+// `ServerConfig::overhaul_enabled = false` gives the unmodified
 // compositor for benchmark baselines: no provenance accounting, no
 // notifications, no permission queries.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string_view>
@@ -33,6 +29,7 @@
 
 #include "core/display_backend.h"
 #include "display/alert.h"
+#include "display/trusted_input.h"
 #include "kern/kernel.h"
 #include "util/annotations.h"
 #include "wl/connection.h"
@@ -45,26 +42,17 @@ namespace overhaul::wl {
 
 inline constexpr const char* kCompositorExe = "/usr/bin/wayland-compositor";
 
-struct WlCompositorConfig {
-  bool overhaul_enabled = true;
-  // Clickjacking visibility threshold — same default and semantics as the
-  // X11 backend; the differential oracle depends on the two matching.
-  sim::Duration visibility_threshold = sim::Duration::millis(500);
-  int screen_width = 1024;
-  int screen_height = 768;
-};
-
 class WlCompositor final : public core::DisplayBackend {
  public:
   // Spawns the compositor process (as a child of init) and, when Overhaul
   // is enabled, connects the authenticated netlink channel.
-  WlCompositor(kern::Kernel& kernel, WlCompositorConfig config = {});
+  WlCompositor(kern::Kernel& kernel, display::ServerConfig config = {});
 
   WlCompositor(const WlCompositor&) = delete;
   WlCompositor& operator=(const WlCompositor&) = delete;
 
   [[nodiscard]] kern::Kernel& kernel() noexcept { return kernel_; }
-  [[nodiscard]] const WlCompositorConfig& config() const noexcept {
+  [[nodiscard]] const display::ServerConfig& config() const noexcept {
     return config_;
   }
   [[nodiscard]] bool overhaul_enabled() const noexcept {
@@ -138,6 +126,10 @@ class WlCompositor final : public core::DisplayBackend {
   }
   [[nodiscard]] std::size_t pixel_bytes() const noexcept override;
   display::AlertOverlay& alert_overlay() noexcept override { return alerts_; }
+  [[nodiscard]] const std::deque<display::InputTraceEntry>& input_trace()
+      const noexcept override {
+    return input_.trace();
+  }
 
   // --- sub-managers ---------------------------------------------------------
   [[nodiscard]] WlSeat& seat() noexcept { return seat_; }
@@ -147,30 +139,12 @@ class WlCompositor final : public core::DisplayBackend {
   }
   [[nodiscard]] display::AlertOverlay& alerts() noexcept { return alerts_; }
 
-  struct Stats {
-    std::uint64_t hardware_events = 0;
-    std::uint64_t interaction_notifications = 0;
-    std::uint64_t clickjack_suppressed = 0;  // hardware events w/o notification
-    std::uint64_t forged_serials = 0;        // requests with bogus serials
+  // synthetic_events stays 0: clients cannot inject input here.
+  struct Stats : display::InputStats {
+    std::uint64_t forged_serials = 0;  // requests with bogus serials
   };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
-
-  // --- input trace ----------------------------------------------------------
-  // Bounded record of every delivered input event, mirroring the X server's
-  // trace for the core::Timeline explainability view.
-  struct InputTraceEntry {
-    sim::Timestamp time;
-    WlEventType type = WlEventType::kPointerButton;
-    kern::Pid receiver_pid = kern::kNoPid;
-    SurfaceId surface = kNoSurface;
-    Serial serial = kInvalidSerial;
-    bool produced_notification = false;
-    bool clickjack_suppressed = false;
-  };
-  static constexpr std::size_t kInputTraceCapacity = 10'000;
-  [[nodiscard]] const std::deque<InputTraceEntry>& input_trace() const {
-    return input_trace_;
+  [[nodiscard]] Stats stats() const noexcept {
+    return {input_.stats(), forged_serials_};
   }
 
  private:
@@ -178,17 +152,13 @@ class WlCompositor final : public core::DisplayBackend {
   friend class WlScreencopyManager;
 
   // Deliver a hardware input event to the owner of `surf`: mint the serial,
-  // generate an interaction notification when the trusted-input checks pass.
+  // then let the trusted input path decide whether it mints an interaction.
   void deliver_input(WlEvent event, WlSurface& surf);
-
-  // The clickjacking rule (§IV-A), identical to the X11 backend.
-  [[nodiscard]] bool passes_visibility_check(const WlSurface& surf) const;
 
   kern::Kernel& kernel_;
   // Same confinement as the X11 backend: one compositor per simulated seat.
-  OVERHAUL_SHARD_LOCAL WlCompositorConfig config_;
+  OVERHAUL_SHARD_LOCAL display::ServerConfig config_;
   OVERHAUL_SHARD_LOCAL kern::Pid pid_ = kern::kNoPid;
-  OVERHAUL_SHARD_LOCAL std::shared_ptr<kern::NetlinkChannel> channel_;
 
   OVERHAUL_SHARD_LOCAL std::map<WlClientId, std::unique_ptr<WlConnection>>
       connections_;
@@ -200,15 +170,10 @@ class WlCompositor final : public core::DisplayBackend {
 
   OVERHAUL_SHARD_LOCAL WlSeat seat_;
   OVERHAUL_SHARD_LOCAL display::AlertOverlay alerts_;
+  OVERHAUL_SHARD_LOCAL display::TrustedInput input_;
   OVERHAUL_SHARD_LOCAL WlDataDeviceManager data_{*this};
   OVERHAUL_SHARD_LOCAL WlScreencopyManager screencopy_{*this};
-  OVERHAUL_SHARD_LOCAL Stats stats_;
-  OVERHAUL_SHARD_LOCAL std::deque<InputTraceEntry> input_trace_;
-
-  // Pre-resolved obs handles (wl.input.*).
-  OVERHAUL_SHARD_LOCAL obs::Counter* c_hw_events_ = nullptr;
-  OVERHAUL_SHARD_LOCAL obs::Counter* c_notifications_ = nullptr;
-  OVERHAUL_SHARD_LOCAL obs::Counter* c_clickjack_ = nullptr;
+  OVERHAUL_SHARD_LOCAL std::uint64_t forged_serials_ = 0;
   OVERHAUL_SHARD_LOCAL obs::Counter* c_forged_serials_ = nullptr;
 };
 

@@ -80,7 +80,6 @@ class WlDataDeviceManager {
     std::uint64_t transfers_completed = 0;
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
 
  private:
   friend class WlCompositor;

@@ -41,7 +41,6 @@ class WlScreencopyManager {
     std::uint64_t own_surface_captures = 0;  // fast path, no query
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
 
  private:
   friend class WlCompositor;

@@ -57,7 +57,6 @@ class ScreenResources {
     std::uint64_t same_owner_copies = 0;  // CopyArea fast path, no query
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
 
  private:
   // Shared mediation: does `client` get pixel access to `window`?

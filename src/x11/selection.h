@@ -137,7 +137,6 @@ class SelectionManager {
     std::uint64_t snoops_blocked = 0;  // property reads/events denied mid-flight
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
 
  private:
   [[nodiscard]] Transfer* find_transfer(const std::string& selection,

@@ -8,10 +8,11 @@ using util::Decision;
 using util::Result;
 using util::Status;
 
-XServer::XServer(kern::Kernel& kernel, XServerConfig config)
+XServer::XServer(kern::Kernel& kernel, display::ServerConfig config)
     : kernel_(kernel),
       config_(config),
       alerts_(kernel.clock()),
+      input_(kernel, alerts_, config, "x11"),
       selections_(*this),
       screen_(*this) {
   // The X server runs as a root-owned userspace process spawned from init.
@@ -25,25 +26,8 @@ XServer::XServer(kern::Kernel& kernel, XServerConfig config)
   root->map(kernel_.clock().now());
   windows_.emplace(kRootWindow, std::move(root));
 
-  if (config_.overhaul_enabled) {
-    // §IV-A: "the X server was modified to connect to a secure communication
-    // channel upon initialization". The kernel authenticates us by
-    // introspecting our exe path.
-    auto channel = kernel_.netlink().connect(pid_);
-    if (channel.is_ok()) {
-      channel_ = std::move(channel).value();
-      channel_->set_alert_handler([this](const kern::AlertRequest& alert) {
-        alerts_.show(alert.pid, alert.comm, alert.op, alert.decision);
-      });
-    }
-  }
-
-  auto& metrics = kernel_.obs().metrics;
-  c_hw_events_ = metrics.counter("x11.input.hardware_events");
-  c_synthetic_events_ = metrics.counter("x11.input.synthetic_events");
-  c_notifications_ = metrics.counter("x11.input.notifications");
-  c_clickjack_ = metrics.counter("x11.input.clickjack_suppressed");
-  c_send_event_drops_ = metrics.counter("x11.send_event.drops");
+  input_.connect(pid_);
+  c_send_event_drops_ = kernel_.obs().metrics.counter("x11.send_event.drops");
 }
 
 // --- client connections -------------------------------------------------------
@@ -227,64 +211,25 @@ Window* XServer::window_at(int x, int y) {
 
 // --- input path ---------------------------------------------------------------------
 
-bool XServer::passes_visibility_check(const Window& win) const {
-  // §IV-A: "OVERHAUL only generates interaction notifications if the X
-  // client receiving the event has a valid mapped window that has stayed
-  // visible above a predefined time threshold." Transparent windows are
-  // never *visible*, no matter how long they have been mapped.
-  if (!win.mapped() || win.transparent()) return false;
-  return win.visible_for(kernel_.clock().now()) >= config_.visibility_threshold;
-}
-
 void XServer::deliver_input(XEvent event, Window& win) {
   XClient* owner = client(win.owner());
   if (owner == nullptr) return;
 
-  InputTraceEntry trace;
-  trace.time = kernel_.clock().now();
-  trace.type = event.type;
-  trace.provenance = event.provenance;
-  trace.receiver_pid = owner->pid();
-  trace.window = win.id();
-
-  if (event.provenance == Provenance::kHardware) {
-    ++stats_.hardware_events;
-    c_hw_events_->add();
-    if (config_.overhaul_enabled && channel_ != nullptr) {
-      if (passes_visibility_check(win)) {
-        kern::InteractionNotification note;
-        note.pid = owner->pid();
-        note.ts = kernel_.clock().now();
-        if (channel_->send_interaction(note).is_ok()) {
-          ++stats_.interaction_notifications;
-          c_notifications_->add();
-          trace.produced_notification = true;
-        }
-        // ACG comparison mode: a click inside a registered gadget also
-        // produces an op-specific grant notification.
-        if (event.type == EventType::kButtonPress) {
-          if (const auto op = acg_.gadget_hit(win, event.x, event.y);
-              op.has_value()) {
-            kern::AcgGrantNotification grant;
-            grant.pid = owner->pid();
-            grant.op = *op;
-            grant.ts = kernel_.clock().now();
-            (void)channel_->send_acg_grant(grant);
-          }
-        }
-      } else {
-        ++stats_.clickjack_suppressed;
-        c_clickjack_->add();
-        trace.clickjack_suppressed = true;
-      }
-    }
-  } else {
-    ++stats_.synthetic_events;
-    c_synthetic_events_->add();
-  }
-
-  input_trace_.push_back(trace);
-  if (input_trace_.size() > kInputTraceCapacity) input_trace_.pop_front();
+  display::InputEvent in;
+  in.kind = event.type == EventType::kKeyPress      ? display::InputKind::kKey
+            : event.type == EventType::kButtonPress ? display::InputKind::kClick
+                                                    : display::InputKind::kOther;
+  in.hardware = event.provenance == Provenance::kHardware;
+  in.receiver_pid = owner->pid();
+  in.target = win.id();
+  in.mapped = win.mapped();
+  in.see_through = win.transparent();
+  in.visible_for = win.visible_for(kernel_.clock().now());
+  // ACG comparison mode: a click inside a registered gadget also produces an
+  // op-specific grant notification.
+  if (in.hardware && in.kind == display::InputKind::kClick)
+    in.acg_op = acg_.gadget_hit(win, event.x, event.y);
+  (void)input_.mint_interaction(in);
 
   event.window = win.id();
   owner->enqueue(std::move(event));
@@ -385,7 +330,7 @@ Status XServer::send_event(ClientId sender, WindowId target, XEvent event) {
   // can break the copy & paste protocol".
   if (config_.overhaul_enabled) {
     if (!selections_.send_event_allowed(sender, event)) {
-      ++stats_.blocked_send_events;
+      ++blocked_send_events_;
       c_send_event_drops_->add();
       if (kernel_.obs().tracer.enabled()) {
         XClient* s = client(sender);
@@ -449,17 +394,9 @@ Status XServer::xtest_fake_key(ClientId sender, int keycode) {
 
 Decision XServer::ask_monitor(ClientId client_id, util::Op op,
                               std::string_view detail) {
-  if (!config_.overhaul_enabled) return Decision::kGrant;  // unmodified server
-  XClient* c = client(client_id);
-  if (c == nullptr || channel_ == nullptr) return Decision::kDeny;
-
-  kern::PermissionQuery query;
-  query.pid = c->pid();
-  query.op = op;
-  query.op_time = kernel_.clock().now();
-  query.detail.assign(detail.data(), detail.size());
-  auto reply = channel_->query_permission(query);
-  return reply.is_ok() ? reply.value().decision : Decision::kDeny;
+  const XClient* c = client(client_id);
+  return input_.query_monitor(c != nullptr ? c->pid() : kern::kNoPid, op,
+                              detail);
 }
 
 }  // namespace overhaul::x11

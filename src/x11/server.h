@@ -4,21 +4,17 @@
 //  * Trusted input path — distinguish hardware input from SendEvent
 //    (synthetic wire flag) and XTEST (provenance tag) injections; only
 //    hardware events generate interaction notifications.
-//  * Clickjacking defense — notifications only for clients whose receiving
-//    window is a valid, non-transparent mapped window that has stayed
-//    visible longer than a threshold.
-//  * Kernel liaison — connect the authenticated netlink channel at server
-//    initialization; send N_{A,t}, issue Q_{A,t}, receive V_{A,op}.
+//  * Clickjacking defense, kernel liaison (N_{A,t}, Q_{A,t}, V_{A,op}) —
+//    the shared display::TrustedInput, which both backends call.
 //  * Trusted output — the AlertOverlay rendered above all client windows.
 //  * Resource interposition — SelectionManager (clipboard) and
 //    ScreenResources (display contents) call back into ask_monitor().
 //
-// `XServerConfig::overhaul_enabled = false` gives the unmodified X server
+// `ServerConfig::overhaul_enabled = false` gives the unmodified X server
 // for benchmark baselines: no provenance filtering, no notifications, no
 // permission queries.
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -30,6 +26,7 @@
 #include "util/annotations.h"
 #include "x11/acg.h"
 #include "display/alert.h"
+#include "display/trusted_input.h"
 #include "x11/client.h"
 #include "x11/prompt.h"
 #include "x11/screen.h"
@@ -41,28 +38,19 @@ namespace overhaul::x11 {
 
 inline constexpr const char* kXorgExe = "/usr/lib/xorg/Xorg";
 
-struct XServerConfig {
-  bool overhaul_enabled = true;
-  // Clickjacking visibility threshold: a window must have been continuously
-  // visible at least this long before events on it count as interaction.
-  // (The paper uses "a predefined time threshold" without quoting a value;
-  // 500 ms is our default and the ablation bench sweeps it.)
-  sim::Duration visibility_threshold = sim::Duration::millis(500);
-  int screen_width = 1024;
-  int screen_height = 768;
-};
-
 class XServer final : public core::DisplayBackend {
  public:
   // Spawns the Xorg process (as a child of init) and, when Overhaul is
   // enabled, connects the authenticated netlink channel.
-  XServer(kern::Kernel& kernel, XServerConfig config = {});
+  XServer(kern::Kernel& kernel, display::ServerConfig config = {});
 
   XServer(const XServer&) = delete;
   XServer& operator=(const XServer&) = delete;
 
   [[nodiscard]] kern::Kernel& kernel() noexcept { return kernel_; }
-  [[nodiscard]] const XServerConfig& config() const noexcept { return config_; }
+  [[nodiscard]] const display::ServerConfig& config() const noexcept {
+    return config_;
+  }
   [[nodiscard]] bool overhaul_enabled() const noexcept {
     return config_.overhaul_enabled;
   }
@@ -175,6 +163,10 @@ class XServer final : public core::DisplayBackend {
   }
   [[nodiscard]] std::size_t pixel_bytes() const noexcept override;
   display::AlertOverlay& alert_overlay() noexcept override { return alerts_; }
+  [[nodiscard]] const std::deque<display::InputTraceEntry>& input_trace()
+      const noexcept override {
+    return input_.trace();
+  }
 
   // --- sub-managers -------------------------------------------------------------------
   [[nodiscard]] SelectionManager& selections() noexcept { return selections_; }
@@ -184,54 +176,29 @@ class XServer final : public core::DisplayBackend {
   [[nodiscard]] AcgManager& acg() noexcept { return acg_; }
   [[nodiscard]] AtomRegistry& atoms() noexcept { return atoms_; }
 
-  struct Stats {
-    std::uint64_t hardware_events = 0;
-    std::uint64_t synthetic_events = 0;
-    std::uint64_t interaction_notifications = 0;
-    std::uint64_t clickjack_suppressed = 0;  // hardware events w/o notification
+  struct Stats : display::InputStats {
     std::uint64_t blocked_send_events = 0;
   };
-  [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
-
-  // --- input trace -------------------------------------------------------------
-  // Bounded record of every delivered input event: what arrived, from which
-  // source, who received it, and whether it produced an interaction
-  // notification. Feeds the core::Timeline explainability view.
-  struct InputTraceEntry {
-    sim::Timestamp time;
-    EventType type = EventType::kKeyPress;
-    Provenance provenance = Provenance::kHardware;
-    kern::Pid receiver_pid = kern::kNoPid;
-    WindowId window = kNoWindow;
-    bool produced_notification = false;
-    bool clickjack_suppressed = false;
-  };
-  static constexpr std::size_t kInputTraceCapacity = 10'000;
-  [[nodiscard]] const std::deque<InputTraceEntry>& input_trace() const {
-    return input_trace_;
+  [[nodiscard]] Stats stats() const noexcept {
+    return {input_.stats(), blocked_send_events_};
   }
 
  private:
   friend class SelectionManager;
   friend class ScreenResources;
 
-  // Deliver an input event to the owner of `win`, generating an interaction
-  // notification when the trusted-input checks pass.
+  // Deliver an input event to the owner of `win` through the trusted input
+  // path, which decides whether it mints an interaction.
   void deliver_input(XEvent event, Window& win);
 
   // Emit a StructureNotify-family event to every client selecting it.
   void emit_structure_notify(WindowId window, EventType type);
 
-  // The clickjacking rule (§IV-A).
-  [[nodiscard]] bool passes_visibility_check(const Window& win) const;
-
   kern::Kernel& kernel_;
   // Display-server state is confined to its shard: one backend instance per
   // simulated seat, never shared across sim partitions.
-  OVERHAUL_SHARD_LOCAL XServerConfig config_;
+  OVERHAUL_SHARD_LOCAL display::ServerConfig config_;
   OVERHAUL_SHARD_LOCAL kern::Pid pid_ = kern::kNoPid;
-  OVERHAUL_SHARD_LOCAL std::shared_ptr<kern::NetlinkChannel> channel_;
 
   OVERHAUL_SHARD_LOCAL std::map<ClientId, std::unique_ptr<XClient>> clients_;
   OVERHAUL_SHARD_LOCAL std::map<WindowId, std::unique_ptr<Window>> windows_;
@@ -245,19 +212,13 @@ class XServer final : public core::DisplayBackend {
       event_masks_;
 
   OVERHAUL_SHARD_LOCAL display::AlertOverlay alerts_;
+  OVERHAUL_SHARD_LOCAL display::TrustedInput input_;
   OVERHAUL_SHARD_LOCAL SelectionManager selections_;
   OVERHAUL_SHARD_LOCAL ScreenResources screen_;
   OVERHAUL_SHARD_LOCAL PromptManager prompts_{*this};
   OVERHAUL_SHARD_LOCAL AcgManager acg_{*this};
   OVERHAUL_SHARD_LOCAL AtomRegistry atoms_;
-  OVERHAUL_SHARD_LOCAL Stats stats_;
-  OVERHAUL_SHARD_LOCAL std::deque<InputTraceEntry> input_trace_;
-
-  // Pre-resolved obs handles (trusted-input path + SendEvent policing).
-  OVERHAUL_SHARD_LOCAL obs::Counter* c_hw_events_ = nullptr;
-  OVERHAUL_SHARD_LOCAL obs::Counter* c_synthetic_events_ = nullptr;
-  OVERHAUL_SHARD_LOCAL obs::Counter* c_notifications_ = nullptr;
-  OVERHAUL_SHARD_LOCAL obs::Counter* c_clickjack_ = nullptr;
+  OVERHAUL_SHARD_LOCAL std::uint64_t blocked_send_events_ = 0;
   OVERHAUL_SHARD_LOCAL obs::Counter* c_send_event_drops_ = nullptr;
 };
 

@@ -7,7 +7,9 @@
 // The comparison covers the full audit tuple except the free-form `detail`
 // string (which legitimately names protocol objects: "root"/"window N" vs
 // "output"/"surface N") plus the monitor's decision counters and the alert
-// overlay history length.
+// overlay history length. The seeded random sessions also compare the
+// hardware input trace entry for entry: time, receiver pid, notified and
+// suppressed (not the window/surface id or the serial).
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -70,14 +72,37 @@ void click_into(OverhaulSystem& sys, const apps::GuiApp& app) {
   sys.input().click(cx, cy);
 }
 
+// The hardware keys and clicks each backend's trusted input path saw, minus
+// the protocol-specific target id and serial.
+std::vector<std::string> hardware_trace(OverhaulSystem& sys) {
+  std::vector<std::string> out;
+  for (const auto& t : sys.display().input_trace()) {
+    if (!t.hardware) continue;
+    out.push_back(std::to_string(t.time.ns) + "|" +
+                  std::to_string(t.receiver_pid) + "|" +
+                  (t.produced_notification ? "notified" : "-") + "|" +
+                  (t.clickjack_suppressed ? "suppressed" : "-"));
+  }
+  return out;
+}
+
 // Run `script` on a freshly booted system of each backend and insist the
-// monitor could not tell them apart.
-void expect_backends_agree(
-    const std::function<void(OverhaulSystem&)>& script) {
+// monitor could not tell them apart; with `compare_traces`, insist the two
+// trusted input paths saw the same hardware input and treated it alike.
+void expect_backends_agree(const std::function<void(OverhaulSystem&)>& script,
+                           bool compare_traces = false) {
   OverhaulSystem on_x11(config_for(DisplayBackendKind::kX11));
   OverhaulSystem on_wl(config_for(DisplayBackendKind::kWayland));
   script(on_x11);
   script(on_wl);
+  if (compare_traces) {
+    const std::vector<std::string> xt = hardware_trace(on_x11);
+    const std::vector<std::string> wt = hardware_trace(on_wl);
+    EXPECT_FALSE(xt.empty());
+    ASSERT_EQ(xt.size(), wt.size());
+    for (std::size_t i = 0; i < xt.size(); ++i)
+      EXPECT_EQ(xt[i], wt[i]) << "input trace entry " << i << " diverged";
+  }
   const DecisionStream x = snapshot(on_x11);
   const DecisionStream w = snapshot(on_wl);
   ASSERT_EQ(x.records.size(), w.records.size());
@@ -177,16 +202,19 @@ void random_session(OverhaulSystem& sys, std::uint64_t seed) {
 }
 
 TEST(BackendDiff, SeededRandomSession7) {
-  expect_backends_agree([](OverhaulSystem& sys) { random_session(sys, 7); });
+  expect_backends_agree([](OverhaulSystem& sys) { random_session(sys, 7); },
+                        /*compare_traces=*/true);
 }
 
 TEST(BackendDiff, SeededRandomSession1234) {
-  expect_backends_agree([](OverhaulSystem& sys) { random_session(sys, 1234); });
+  expect_backends_agree([](OverhaulSystem& sys) { random_session(sys, 1234); },
+                        /*compare_traces=*/true);
 }
 
 TEST(BackendDiff, SeededRandomSession987654321) {
   expect_backends_agree(
-      [](OverhaulSystem& sys) { random_session(sys, 987654321); });
+      [](OverhaulSystem& sys) { random_session(sys, 987654321); },
+      /*compare_traces=*/true);
 }
 
 // --- the attack surface each backend closes in its own idiom -----------------

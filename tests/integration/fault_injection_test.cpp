@@ -57,7 +57,7 @@ TEST_F(FaultInjectionTest, NewXServerCanReconnectAfterCrash) {
   ASSERT_TRUE(
       sys_.kernel().sys_kill(1, sys_.xserver().pid(), kern::Signal::kKill)
           .is_ok());
-  x11::XServer replacement(sys_.kernel(), sys_.config().xserver_config());
+  x11::XServer replacement(sys_.kernel(), sys_.config().display_config());
   replacement.alerts().set_shared_secret(sys_.config().shared_secret);
   x11::HardwareInputDriver input(replacement);
 

@@ -585,12 +585,12 @@ TEST(CallGraph, DeclaredEdgesSpliceHandlerIndirection) {
 TEST(Fixtures, BrokenTreeReportsEachViolationAtTheRightLine) {
   const auto cfg = fixture_rules();
   const auto findings = lint::run_lint({fixture_dir("broken")}, cfg);
-  ASSERT_EQ(findings.size(), 20u);
+  ASSERT_EQ(findings.size(), 21u);
 
   // Sorted by file: audit_append, clock_use, deny_no_audit, device_open,
   // handle, interaction, lane_violation, lock_order, nondet_order,
-  // parallel_step, pipe_like, shared_state, taint, wl_capture, wl_receive,
-  // xshard_deliver, xshard_mix.
+  // parallel_step, pipe_like, shared_state, taint, trusted_input,
+  // wl_capture, wl_receive, xshard_deliver, xshard_mix.
 
   // The binary-audit facade that builds a record but never reaches the ring.
   EXPECT_TRUE(lint::path_matches(findings[0].file, "broken/audit_append.cpp"));
@@ -678,43 +678,50 @@ TEST(Fixtures, BrokenTreeReportsEachViolationAtTheRightLine) {
   EXPECT_EQ(findings[14].rule, "R6");
   EXPECT_NE(findings[14].message.find("background_replay"), std::string::npos);
 
+  // The replay path that calls the seam's mint outside deliver_input.
+  EXPECT_TRUE(lint::path_matches(findings[15].file, "broken/trusted_input.cpp"));
+  EXPECT_EQ(findings[15].rule, "R6");
+  EXPECT_EQ(findings[15].line, 22);
+  EXPECT_NE(findings[15].message.find("mint_interaction"), std::string::npos);
+  EXPECT_NE(findings[15].message.find("Server::replay"), std::string::npos);
+
   // The capture path whose mediation survives only as dead code.
-  EXPECT_TRUE(lint::path_matches(findings[15].file, "broken/wl_capture.cpp"));
-  EXPECT_EQ(findings[15].rule, "R5");
-  EXPECT_NE(findings[15].message.find("capture_surface"), std::string::npos);
+  EXPECT_TRUE(lint::path_matches(findings[16].file, "broken/wl_capture.cpp"));
+  EXPECT_EQ(findings[16].rule, "R5");
+  EXPECT_NE(findings[16].message.find("capture_surface"), std::string::npos);
 
   // The un-mediated Wayland receive handler — proof the analyzer covers the
   // second backend's interposition points too.
-  EXPECT_TRUE(lint::path_matches(findings[16].file, "broken/wl_receive.cpp"));
-  EXPECT_EQ(findings[16].rule, "R2");
-  EXPECT_EQ(findings[16].line, 6);
-  EXPECT_NE(findings[16].message.find("request_receive"), std::string::npos);
+  EXPECT_TRUE(lint::path_matches(findings[17].file, "broken/wl_receive.cpp"));
+  EXPECT_EQ(findings[17].rule, "R2");
+  EXPECT_EQ(findings[17].line, 6);
+  EXPECT_NE(findings[17].message.find("request_receive"), std::string::npos);
 
   // The cross-shard delivery path whose P2 stamp survives only as dead code.
   EXPECT_TRUE(
-      lint::path_matches(findings[17].file, "broken/xshard_deliver.cpp"));
-  EXPECT_EQ(findings[17].rule, "R5");
-  EXPECT_NE(findings[17].message.find("deliver_cross_shard"),
+      lint::path_matches(findings[18].file, "broken/xshard_deliver.cpp"));
+  EXPECT_EQ(findings[18].rule, "R5");
+  EXPECT_NE(findings[18].message.find("deliver_cross_shard"),
             std::string::npos);
 
   // R11 pair: the raw fleet/local comparison, then the fleet-domain value
   // adopted through the shard-local sink.
-  EXPECT_TRUE(lint::path_matches(findings[18].file, "broken/xshard_mix.cpp"));
-  EXPECT_EQ(findings[18].rule, "R11");
-  EXPECT_EQ(findings[18].line, 16);
-  EXPECT_NE(findings[18].message.find("seen"), std::string::npos);
-  EXPECT_NE(findings[18].message.find("arrival"), std::string::npos);
   EXPECT_TRUE(lint::path_matches(findings[19].file, "broken/xshard_mix.cpp"));
   EXPECT_EQ(findings[19].rule, "R11");
-  EXPECT_EQ(findings[19].line, 18);
-  EXPECT_NE(findings[19].message.find("adopt_arrival"), std::string::npos);
+  EXPECT_EQ(findings[19].line, 16);
+  EXPECT_NE(findings[19].message.find("seen"), std::string::npos);
+  EXPECT_NE(findings[19].message.find("arrival"), std::string::npos);
+  EXPECT_TRUE(lint::path_matches(findings[20].file, "broken/xshard_mix.cpp"));
+  EXPECT_EQ(findings[20].rule, "R11");
+  EXPECT_EQ(findings[20].line, 18);
+  EXPECT_NE(findings[20].message.find("adopt_arrival"), std::string::npos);
 }
 
 TEST(Fixtures, CleanTreePasses) {
   const auto cfg = fixture_rules();
   std::size_t scanned = 0;
   const auto findings = lint::run_lint({fixture_dir("clean")}, cfg, &scanned);
-  EXPECT_EQ(scanned, 17u);
+  EXPECT_EQ(scanned, 18u);
   EXPECT_TRUE(findings.empty())
       << findings[0].file << ":" << findings[0].line << " "
       << findings[0].message;

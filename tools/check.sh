@@ -9,7 +9,8 @@
 #   tools/check.sh --bench         # additionally smoke the perf benches
 #                                  # (bench_hotpath, bench_table1, bench_lint,
 #                                  # bench_fleet, bench_audit + the
-#                                  # trajectory diff gate)
+#                                  # trajectory diff gate) and the repository
+#                                  # benchmark (perfbench/run.py --self-test)
 #   JOBS=4 tools/check.sh          # override parallelism
 #
 # --metrics and --bench combine, in any order, before the preset name.
@@ -139,6 +140,12 @@ if [ "$BENCH" = 1 ]; then
   (cd "$BUILD_DIR" &&
     ./bench/bench_lint --quick &&
     ./tools/obs/json_check BENCH_lint.json)
+
+  # The repository benchmark (BENCHMARK.json, perfbench/): builds into
+  # .bench_build/ and runs every workload briefly, untraced and traced; each
+  # result line must parse, be correct, and name every declared metric.
+  step "perfbench --self-test (repository benchmark smoke)"
+  python3 perfbench/run.py --self-test
 fi
 
 if command -v clang-tidy >/dev/null 2>&1; then
