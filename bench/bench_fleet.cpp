@@ -20,7 +20,12 @@
 // "thousands of concurrent desktops in one address space" demonstrator and
 // hard-fails if fewer than 1000 sessions are live after the storm.
 // --quick (128 shards, 8 rounds) is the check.sh smoke shape.
+//
+// The report is written before any exit. The bench exits 1 only on a
+// correctness failure (fewer than 1000 sessions, rollup != checks, or a
+// sweep determinism violation); bench_gate judges every perf figure.
 #include <chrono>
+#include <memory>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -30,6 +35,7 @@
 
 #include "bench_report.h"
 #include "fleet/harness.h"
+#include "sampler.h"
 #include "sim/parallel.h"
 #include "text_audit_log.h"
 #include "util/histogram.h"
@@ -72,19 +78,23 @@ struct Options {
 };
 
 // --- worker-scaling sweep ----------------------------------------------------
-// Fresh fleet per thread count, identical deterministic workload: every seat
-// runs a self-re-arming beat inside its own scheduler issuing 16 permission
-// checks (plus periodic clicks and cross-shard ring traffic) per quantum, so
-// stepping the fleet IS the decision workload and decisions/sec measures the
-// engine, not the driver loop. The determinism contract doubles as the
-// sweep's self-check: every point must produce the identical decision total.
+// One warmed fleet per thread count, all booted from the same config: every
+// seat runs a self-re-arming beat inside its own scheduler issuing 16
+// permission checks (plus periodic clicks and cross-shard ring traffic) per
+// quantum, so stepping the fleet IS the decision workload and ns per quantum
+// measures the engine, not the driver loop. bench::sample steps interleaved
+// slices of kSweepSlice quanta in rotated thread order; since every fleet
+// takes the same number of slices, the determinism contract doubles as the
+// sweep's self-check: every fleet must end with the same decision total.
+constexpr int kSweepThreads[] = {1, 2, 4, 8};
+constexpr int kSweepSlice = 20;
+
 struct SweepBeat {
   fleet::FleetHarness* f = nullptr;
   fleet::ShardId id = 0;
   kern::Pid pid = kern::kNoPid;
   fleet::XShardLink* link = nullptr;
   int side = 0;
-  int ticks_left = 0;
   int tick = 0;
 
   void arm() {
@@ -106,99 +116,63 @@ struct SweepBeat {
         (void)link->receive(side);
     }
     ++tick;
-    if (--ticks_left > 0) arm();
+    arm();
   }
 };
 
-struct SweepPoint {
-  int threads = 0;
-  double wall_s = 0;
-  std::uint64_t decisions = 0;
-  double decisions_per_sec = 0;
-};
+struct SweepFleet {
+  std::unique_ptr<fleet::FleetHarness> f;
+  std::vector<SweepBeat> beats;
 
-SweepPoint run_sweep_point(int threads, int shards, int quanta,
-                           std::uint64_t seed, fleet::BackendMix mix) {
-  fleet::FleetConfig fc;
-  fc.shards = shards;
-  fc.mix = mix;
-  fc.seed = seed;
-  fc.threads = threads;
-  // Pure-throughput posture: no tracing, no audit ring — the sweep compares
-  // the engine against itself, not against the RSS story of the main phases.
-  fc.base.trace = false;
-  fc.base.audit = false;
-  fleet::FleetHarness f(fc);
-  f.boot_fleet();
-  for (fleet::ShardId id = 0; id < f.shard_count(); ++id)
-    (void)f.shard(id).launch_session("/usr/bin/seat-app", "seat-app");
-  f.advance(sim::Duration::millis(600));
-  for (fleet::ShardId id = 0; id + 1 < f.shard_count(); id += 2)
-    f.connect_xshard(id, f.shard(id).session_pids()[0], id + 1,
-                     f.shard(id + 1).session_pids()[0]);
-  std::vector<SweepBeat> beats(static_cast<std::size_t>(f.shard_count()));
-  for (fleet::ShardId id = 0; id < f.shard_count(); ++id) {
-    SweepBeat& b = beats[static_cast<std::size_t>(id)];
-    b.f = &f;
-    b.id = id;
-    b.pid = f.shard(id).session_pids()[0];
-    if (static_cast<std::size_t>(id / 2) < f.link_count()) {
-      b.link = &f.link(static_cast<std::size_t>(id / 2));
-      b.side = id % 2;
-    }
-    b.ticks_left = quanta;
-    b.arm();
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  for (int q = 0; q < quanta + 2; ++q) f.step();
-  SweepPoint p;
-  p.threads = f.threads();
-  p.wall_s = seconds_since(t0);
-  p.decisions = f.aggregate_counter("monitor.decisions.granted") +
-                f.aggregate_counter("monitor.decisions.denied");
-  p.decisions_per_sec = p.decisions / p.wall_s;
-  return p;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--quick") == 0) {
-      opt.quick = true;
-      opt.shards = 128;
-      opt.rounds = 8;
-    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
-      opt.shards = std::atoi(arg + 9);
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      opt.threads = std::atoi(arg + 10);
-      if (opt.threads < 1) {
-        std::fprintf(stderr, "bench_fleet: --threads must be >= 1\n");
-        return 2;
+  SweepFleet(int threads, int shards, std::uint64_t seed,
+             fleet::BackendMix mix) {
+    fleet::FleetConfig fc;
+    fc.shards = shards;
+    fc.mix = mix;
+    fc.seed = seed;
+    fc.threads = threads;
+    // Pure-throughput posture: no tracing, no audit ring — the sweep
+    // compares the engine against itself, not against the RSS story of the
+    // main phases.
+    fc.base.trace = false;
+    fc.base.audit = false;
+    f = std::make_unique<fleet::FleetHarness>(fc);
+    f->boot_fleet();
+    for (fleet::ShardId id = 0; id < f->shard_count(); ++id)
+      (void)f->shard(id).launch_session("/usr/bin/seat-app", "seat-app");
+    f->advance(sim::Duration::millis(600));
+    for (fleet::ShardId id = 0; id + 1 < f->shard_count(); id += 2)
+      f->connect_xshard(id, f->shard(id).session_pids()[0], id + 1,
+                        f->shard(id + 1).session_pids()[0]);
+    beats.resize(static_cast<std::size_t>(f->shard_count()));
+    for (fleet::ShardId id = 0; id < f->shard_count(); ++id) {
+      SweepBeat& b = beats[static_cast<std::size_t>(id)];
+      b.f = f.get();
+      b.id = id;
+      b.pid = f->shard(id).session_pids()[0];
+      if (static_cast<std::size_t>(id / 2) < f->link_count()) {
+        b.link = &f->link(static_cast<std::size_t>(id / 2));
+        b.side = id % 2;
       }
-    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      opt.seed = static_cast<std::uint64_t>(std::atoll(arg + 7));
-    } else if (std::strcmp(arg, "--backend=x11") == 0) {
-      opt.mix = fleet::BackendMix::kX11;
-    } else if (std::strcmp(arg, "--backend=wl") == 0 ||
-               std::strcmp(arg, "--backend=wayland") == 0) {
-      opt.mix = fleet::BackendMix::kWayland;
-    } else if (std::strcmp(arg, "--backend=mixed") == 0) {
-      opt.mix = fleet::BackendMix::kMixed;
-    } else {
-      std::fprintf(stderr,
-                   "usage: bench_fleet [--quick] [--shards=N] [--threads=N] "
-                   "[--seed=N] [--backend=x11|wl|mixed]\n");
-      return 2;
+      b.arm();
     }
   }
-  if (opt.shards < 2) {
-    std::fprintf(stderr, "bench_fleet: need at least 2 shards\n");
-    return 2;
-  }
 
+  double slice() {
+    return bench::time_seconds([&] {
+      for (int q = 0; q < kSweepSlice; ++q) f->step();
+    });
+  }
+  std::uint64_t decisions() {
+    return f->aggregate_counter("monitor.decisions.granted") +
+           f->aggregate_counter("monitor.decisions.denied");
+  }
+};
+
+// --- phases 1-3: boot storm, interaction mix, rollups ------------------------
+// The main fleet lives only in here, so it is gone before the sweep builds
+// its fleets. Returns a correctness failure, or the empty string.
+std::string run_mix(const Options& opt, bench::JsonReport* report) {
   fleet::FleetConfig fc;
   fc.shards = opt.shards;
   fc.mix = opt.mix;
@@ -210,12 +184,6 @@ int main(int argc, char** argv) {
   // but bounded so a long mix cannot grow without limit.
   fc.base.trace = false;
   fc.base.audit = true;
-
-  std::printf("fleet bench: %d shards (%s), seed %llu, %d mix rounds, "
-              "%d worker lane%s\n",
-              opt.shards, fleet::backend_mix_name(opt.mix),
-              static_cast<unsigned long long>(opt.seed), opt.rounds,
-              opt.threads, opt.threads == 1 ? "" : "s");
 
   fleet::FleetHarness f(fc);
 
@@ -243,13 +211,13 @@ int main(int argc, char** argv) {
               f.shard_count(), sessions, f.link_count(), boot_s,
               f.shard_count() / boot_s);
 
-  if (!opt.quick && sessions < 1000) {
-    std::fprintf(stderr,
-                 "bench_fleet: FAIL — only %d concurrent sessions "
-                 "(acceptance floor is 1000)\n",
-                 sessions);
-    return 1;
-  }
+  report->add("sessions", sessions);
+  report->add("links", static_cast<std::uint64_t>(f.link_count()));
+  report->add("boot_s", boot_s);
+  report->add("boots_per_sec", f.shard_count() / boot_s);
+  if (!opt.quick && sessions < 1000)
+    return "only " + std::to_string(sessions) +
+           " concurrent sessions (acceptance floor is 1000)";
 
   // --- phase 2: scripted interaction mix -------------------------------------
   // Per round: click into 1/8 of the seats, decide for 1/4 (some fresh, some
@@ -360,66 +328,122 @@ int main(int argc, char** argv) {
                         static_cast<double>(audit_bytes_binary)
                   : 0.0);
 
-  if (decisions != checks) {
-    std::fprintf(stderr,
-                 "bench_fleet: FAIL — rollup saw %llu decisions but the "
-                 "script issued %llu checks\n",
-                 static_cast<unsigned long long>(decisions),
-                 static_cast<unsigned long long>(checks));
-    return 1;
+  report->add("run_s", run_s);
+  report->add("fleet_steps", f.steps_taken());
+  report->add("decisions", decisions);
+  report->add("decisions_per_sec", decisions / run_s);
+  report->add("notifications", notifications);
+  report->add("notifications_per_sec", notifications / run_s);
+  report->add("xshard_sends", xshard_sends);
+  report->add("xshard_recv_adoptions",
+              f.aggregate_counter("ipc.xshard.recv_adoptions"));
+  report->add("rss_proxy_bytes", static_cast<std::uint64_t>(rss_proxy));
+  report->add("peak_rss_bytes", peak_rss);
+  report->add("peak_rss_bytes_per_seat", peak_rss_per_seat);
+  report->add("rss_bytes", rss);
+  report->add("audit_bytes_binary",
+              static_cast<std::uint64_t>(audit_bytes_binary));
+  report->add("audit_bytes_text_equiv",
+              static_cast<std::uint64_t>(audit_bytes_text_equiv));
+  report->add("audit_mem_ratio",
+              audit_bytes_binary > 0
+                  ? static_cast<double>(audit_bytes_text_equiv) /
+                        static_cast<double>(audit_bytes_binary)
+                  : 0.0);
+  report->add("step_timing", opt.threads == 1 ? "per_shard" : "per_quantum");
+  report->add("step_p50_ns", step_ns.percentile(50));
+  report->add("step_p99_ns", step_ns.percentile(99));
+  if (decisions != checks)
+    return "rollup saw " + std::to_string(decisions) +
+           " decisions but the script issued " + std::to_string(checks) +
+           " checks";
+  return "";
+}
+
+// --- phase 4: worker-scaling sweep ------------------------------------------
+// Returns a determinism violation, or the empty string.
+std::string run_sweep(const Options& opt, bench::JsonReport* report) {
+  const int shards = opt.quick ? 64 : 256;
+  std::printf("scaling sweep: %d shards, slices of %d quanta, hardware "
+              "lanes %d\n",
+              shards, kSweepSlice, sim::ParallelExecutor::hardware_lanes());
+  std::vector<std::unique_ptr<SweepFleet>> fleets;
+  std::vector<bench::Arm> arms;
+  for (const int t : kSweepThreads) {
+    fleets.push_back(
+        std::make_unique<SweepFleet>(t, shards, opt.seed, opt.mix));
+    SweepFleet* fleet = fleets.back().get();
+    arms.push_back({kSweepSlice, [fleet] { return fleet->slice(); }});
+  }
+  const bench::Sample s = bench::sample(arms);
+  report->add("sweep_shards", shards);
+  report->add("sweep_slice_quanta", kSweepSlice);
+  std::string failure;
+  const std::uint64_t serial = fleets[0]->decisions();
+  for (std::size_t i = 0; i < fleets.size(); ++i) {
+    const std::string t = std::to_string(kSweepThreads[i]);
+    const bench::Estimate& quantum = s.ns_per_op[i];
+    const bench::Estimate speedup = s.ratio[i].inverse();
+    const std::uint64_t decisions = fleets[i]->decisions();
+    std::printf("  threads=%s: %.1f us/quantum [%.1f, %.1f], %.2fx "
+                "[%.2f, %.2f], %llu decisions\n",
+                t.c_str(), quantum.median / 1e3, quantum.lo / 1e3,
+                quantum.hi / 1e3, speedup.median, speedup.lo, speedup.hi,
+                static_cast<unsigned long long>(decisions));
+    report->add("sweep_quantum_ns_" + t, quantum);
+    if (i > 0) report->add("sweep_speedup_" + t, speedup);
+    if (decisions != serial && failure.empty())
+      failure = "sweep fleet threads=" + t + " made " +
+                std::to_string(decisions) + " decisions, serial made " +
+                std::to_string(serial) + " (determinism violation)";
+  }
+  return failure;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  Options opt;
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    if (std::strcmp(arg, "--quick") == 0) {
+      opt.quick = true;
+      opt.shards = 128;
+      opt.rounds = 8;
+    } else if (std::strncmp(arg, "--shards=", 9) == 0) {
+      opt.shards = std::atoi(arg + 9);
+    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
+      opt.threads = std::atoi(arg + 10);
+      if (opt.threads < 1) {
+        std::fprintf(stderr, "bench_fleet: --threads must be >= 1\n");
+        return 2;
+      }
+    } else if (std::strncmp(arg, "--seed=", 7) == 0) {
+      opt.seed = static_cast<std::uint64_t>(std::atoll(arg + 7));
+    } else if (std::strcmp(arg, "--backend=x11") == 0) {
+      opt.mix = fleet::BackendMix::kX11;
+    } else if (std::strcmp(arg, "--backend=wl") == 0 ||
+               std::strcmp(arg, "--backend=wayland") == 0) {
+      opt.mix = fleet::BackendMix::kWayland;
+    } else if (std::strcmp(arg, "--backend=mixed") == 0) {
+      opt.mix = fleet::BackendMix::kMixed;
+    } else {
+      std::fprintf(stderr,
+                   "usage: bench_fleet [--quick] [--shards=N] [--threads=N] "
+                   "[--seed=N] [--backend=x11|wl|mixed]\n");
+      return 2;
+    }
+  }
+  if (opt.shards < 2) {
+    std::fprintf(stderr, "bench_fleet: need at least 2 shards\n");
+    return 2;
   }
 
-  // --- phase 4: worker-scaling sweep -----------------------------------------
-  // 1/2/4/8 lanes over an identical beat-driven fleet. Two gates ride on it:
-  // every point must produce the identical decision total (the determinism
-  // contract, cheap to hold here), and on machines with >= 4 hardware lanes
-  // the 4-worker point must clear 2x the serial decisions/sec.
-  const int sweep_shards = opt.quick ? 64 : 256;
-  const int sweep_quanta = opt.quick ? 40 : 160;
-  const int hw_lanes = sim::ParallelExecutor::hardware_lanes();
-  std::printf("scaling sweep: %d shards x %d quanta, hardware lanes %d\n",
-              sweep_shards, sweep_quanta, hw_lanes);
-  std::vector<SweepPoint> sweep;
-  for (const int t : {1, 2, 4, 8}) {
-    sweep.push_back(
-        run_sweep_point(t, sweep_shards, sweep_quanta, opt.seed, opt.mix));
-    const SweepPoint& p = sweep.back();
-    std::printf("  threads=%d: %.3f s, %llu decisions, %.0f/s (%.2fx)\n",
-                p.threads, p.wall_s,
-                static_cast<unsigned long long>(p.decisions),
-                p.decisions_per_sec,
-                p.decisions_per_sec / sweep.front().decisions_per_sec);
-  }
-  for (const SweepPoint& p : sweep) {
-    if (p.decisions != sweep.front().decisions) {
-      std::fprintf(stderr,
-                   "bench_fleet: FAIL — sweep point threads=%d produced "
-                   "%llu decisions, serial produced %llu (determinism "
-                   "violation)\n",
-                   p.threads, static_cast<unsigned long long>(p.decisions),
-                   static_cast<unsigned long long>(sweep.front().decisions));
-      return 1;
-    }
-  }
-  const double speedup2 = sweep[1].decisions_per_sec / sweep[0].decisions_per_sec;
-  const double speedup4 = sweep[2].decisions_per_sec / sweep[0].decisions_per_sec;
-  const double speedup8 = sweep[3].decisions_per_sec / sweep[0].decisions_per_sec;
-  std::string sweep_gate;
-  if (hw_lanes >= 4) {
-    if (speedup4 < 2.0) {
-      std::fprintf(stderr,
-                   "bench_fleet: FAIL — 4-worker speedup %.2fx is below the "
-                   "2x floor on a %d-lane machine\n",
-                   speedup4, hw_lanes);
-      return 1;
-    }
-    sweep_gate = "pass";
-  } else {
-    sweep_gate = "skipped: hardware lanes < 4";
-    std::printf("  speedup floor skipped (%d hardware lane%s; the 2x-at-4-"
-                "workers gate arms on >= 4)\n",
-                hw_lanes, hw_lanes == 1 ? "" : "s");
-  }
+  std::printf("fleet bench: %d shards (%s), seed %llu, %d mix rounds, "
+              "%d worker lane%s\n",
+              opt.shards, fleet::backend_mix_name(opt.mix),
+              static_cast<unsigned long long>(opt.seed), opt.rounds,
+              opt.threads, opt.threads == 1 ? "" : "s");
 
   bench::JsonReport report("fleet");
   report.add_raw("quick", opt.quick ? "true" : "false");
@@ -428,54 +452,12 @@ int main(int argc, char** argv) {
   report.add("seed", static_cast<std::uint64_t>(opt.seed));
   report.add("rounds", opt.rounds);
   report.add("threads", opt.threads);
-  report.add("hardware_threads", hw_lanes);
-  report.add("sessions", sessions);
-  report.add("links", static_cast<std::uint64_t>(f.link_count()));
-  report.add("boot_s", boot_s);
-  report.add("boots_per_sec", f.shard_count() / boot_s);
-  report.add("run_s", run_s);
-  report.add("fleet_steps", f.steps_taken());
-  report.add("decisions", decisions);
-  report.add("decisions_per_sec", decisions / run_s);
-  report.add("notifications", notifications);
-  report.add("notifications_per_sec", notifications / run_s);
-  report.add("xshard_sends", xshard_sends);
-  report.add("xshard_recv_adoptions",
-             f.aggregate_counter("ipc.xshard.recv_adoptions"));
-  report.add("rss_proxy_bytes", static_cast<std::uint64_t>(rss_proxy));
-  report.add("peak_rss_bytes", peak_rss);
-  report.add("peak_rss_bytes_per_seat", peak_rss_per_seat);
-  report.add("rss_bytes", rss);
-  report.add("audit_bytes_binary",
-             static_cast<std::uint64_t>(audit_bytes_binary));
-  report.add("audit_bytes_text_equiv",
-             static_cast<std::uint64_t>(audit_bytes_text_equiv));
-  report.add("audit_mem_ratio",
-             audit_bytes_binary > 0
-                 ? static_cast<double>(audit_bytes_text_equiv) /
-                       static_cast<double>(audit_bytes_binary)
-                 : 0.0);
-  report.add("step_timing", opt.threads == 1 ? "per_shard" : "per_quantum");
-  report.add("step_p50_ns", step_ns.percentile(50));
-  report.add("step_p99_ns", step_ns.percentile(99));
-  report.add("sweep_shards", sweep_shards);
-  report.add("sweep_quanta", sweep_quanta);
-  std::string sweep_json = "[";
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const SweepPoint& p = sweep[i];
-    if (i > 0) sweep_json += ",";
-    sweep_json += "{\"threads\":" + std::to_string(p.threads) +
-                  ",\"wall_s\":" + bench::JsonReport::number(p.wall_s) +
-                  ",\"decisions\":" + std::to_string(p.decisions) +
-                  ",\"decisions_per_sec\":" +
-                  bench::JsonReport::number(p.decisions_per_sec) + "}";
-  }
-  sweep_json += "]";
-  report.add_raw("sweep", sweep_json);
-  report.add("sweep_speedup_2", speedup2);
-  report.add("sweep_speedup_4", speedup4);
-  report.add("sweep_speedup_8", speedup8);
-  report.add("sweep_gate", sweep_gate);
+  std::string failure = run_mix(opt, &report);
+  if (failure.empty()) failure = run_sweep(opt, &report);
   if (!report.write("BENCH_fleet.json")) return 1;
+  if (!failure.empty()) {
+    std::fprintf(stderr, "bench_fleet: FAIL — %s\n", failure.c_str());
+    return 1;
+  }
   return 0;
 }

@@ -5,46 +5,31 @@
 // ctest check if the incremental cache keeps the steady-state cost near the
 // cost of hashing the tree. This bench times a cold run (empty cache: every
 // file tokenized, extracted, and serialized) against a warm run (every FileIR
-// served from the cache) over the real src/ tree and gates on the ratio:
-// warm must be >= 3x faster than cold, or the cache has rotted into
+// served from the cache) over the real src/ tree, as interleaved arms of one
+// bench::sample. bench_gate holds cache_speedup (cold over warm) against
+// tools/bench_baseline.json: if it sinks, the cache has rotted into
 // decoration and `lint.tree` is paying full parse cost on every build.
 //
-// Usage: bench_lint [--quick]   (writes BENCH_lint.json; exit 1 on gate fail)
-#include <chrono>
+// Usage: bench_lint   (writes BENCH_lint.json; exits 1 only when a warm run
+// reparsed a file). It takes no options: the sampler decides how many rounds
+// run.
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <functional>
 
 #include "bench_report.h"
 #include "lint.h"
 #include "rules_flow.h"
+#include "sampler.h"
 
 namespace {
 
+using overhaul::bench::time_seconds;
 using overhaul::lint::TreeOptions;
 using overhaul::lint::TreeResult;
 
-double time_seconds(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  const auto end = std::chrono::steady_clock::now();
-  return std::chrono::duration<double>(end - start).count();
-}
-
-double best_seconds(int reps, const std::function<void()>& fn) {
-  double best = 0;
-  for (int r = 0; r < reps; ++r) {
-    const double s = time_seconds(fn);
-    if (r == 0 || s < best) best = s;
-  }
-  return best;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
-  const int reps = quick ? 2 : 5;
+int main() {
   const char* cache_path = "BENCH_lint_cache.txt";
 
   std::string error;
@@ -68,66 +53,65 @@ int main(int argc, char** argv) {
   opts.cache_path = cache_path;
   opts.baseline = *baseline;
 
+  // A cold call deletes the cache and writes it afresh, so a warm call
+  // finds a full cache whichever arm ran before it. The sampler's warm-up
+  // calls run warm before cold; the first warm one may reparse and is not
+  // counted.
   TreeResult last;
-  const double cold_s = best_seconds(reps, [&] {
-    std::remove(cache_path);
-    last = overhaul::lint::run_tree(opts);
+  std::size_t cold_reparsed = 0;
+  std::size_t warm_reparsed = 0;
+  int warm_calls = 0;
+  const overhaul::bench::Sample s = overhaul::bench::sample({
+      {1, [&] {
+         const double sec =
+             time_seconds([&] { last = overhaul::lint::run_tree(opts); });
+         if (warm_calls++ > 0)
+           warm_reparsed = std::max(warm_reparsed, last.stats.reparsed);
+         return sec;
+       }},
+      {1, [&] {
+         std::remove(cache_path);
+         const double sec =
+             time_seconds([&] { last = overhaul::lint::run_tree(opts); });
+         cold_reparsed = last.stats.reparsed;
+         return sec;
+       }},
   });
-  const std::size_t cold_reparsed = last.stats.reparsed;
-
-  // Prime once, then measure steady state.
-  last = overhaul::lint::run_tree(opts);
-  const double warm_s =
-      best_seconds(reps, [&] { last = overhaul::lint::run_tree(opts); });
-  const std::size_t warm_reparsed = last.stats.reparsed;
   std::remove(cache_path);
+  const double warm_ms = s.ns_per_op[0].median / 1e6;
+  const double cold_ms = s.ns_per_op[1].median / 1e6;
+  const overhaul::bench::Estimate& speedup = s.ratio[1];
 
-  const double speedup = warm_s > 0 ? cold_s / warm_s : 0;
-  std::printf("bench_lint: full-tree analysis over %s\n",
-              OVERHAUL_LINT_SRC_ROOT);
-  std::printf("%-16s %8.2f ms   (%zu files reparsed)\n", "cold",
-              cold_s * 1e3, cold_reparsed);
-  std::printf("%-16s %8.2f ms   (%zu files reparsed)\n", "warm",
-              warm_s * 1e3, warm_reparsed);
+  std::printf("bench_lint: full-tree analysis over %s (median of %zu "
+              "interleaved rounds)\n",
+              OVERHAUL_LINT_SRC_ROOT, speedup.n);
+  std::printf("%-16s %8.2f ms   (%zu files reparsed)\n", "cold", cold_ms,
+              cold_reparsed);
+  std::printf("%-16s %8.2f ms   (at most %zu files reparsed)\n", "warm",
+              warm_ms, warm_reparsed);
   std::printf("%zu files, %zu functions, %zu call edges, %zu findings\n",
               last.stats.files, last.stats.functions, last.stats.call_edges,
               last.findings.size());
-  std::printf("\ncache speedup: %.2fx (gate: >= 3x)\n", speedup);
+  std::printf("\ncache speedup: %.2fx [%.2f, %.2f]\n", speedup.median,
+              speedup.lo, speedup.hi);
 
   overhaul::bench::JsonReport report("lint");
-  report.add_raw("quick", quick ? "true" : "false");
-  report.add("reps", reps);
   report.add("files", last.stats.files);
   report.add("functions", last.stats.functions);
   report.add("call_edges", last.stats.call_edges);
   report.add("findings", last.findings.size());
-  report.add("cold_ms", cold_s * 1e3);
-  report.add("warm_ms", warm_s * 1e3);
+  report.add("cold_ns", s.ns_per_op[1]);
+  report.add("warm_ns", s.ns_per_op[0]);
   report.add("warm_reparsed", warm_reparsed);
   report.add("cache_speedup", speedup);
   (void)report.write("BENCH_lint.json");
 
-  // A warm run that reparses anything means the cache is broken outright;
-  // that gate holds in every build type. The speedup ratio is only a
-  // meaningful measurement in optimized builds (-O0 skews the parse/analyze
-  // balance), so unoptimized builds report it as advisory.
+  // A warm run that reparses anything means the cache is broken outright.
   if (warm_reparsed != 0) {
     std::fprintf(stderr,
-                 "bench_lint: GATE FAILED — warm run reparsed %zu files "
-                 "(want 0)\n",
+                 "bench_lint: FAIL — warm run reparsed %zu files (want 0)\n",
                  warm_reparsed);
     return 1;
   }
-#ifdef NDEBUG
-  if (speedup < 3.0) {
-    std::fprintf(stderr,
-                 "bench_lint: GATE FAILED — warm run only %.2fx faster than "
-                 "cold (want >= 3x)\n",
-                 speedup);
-    return 1;
-  }
-#else
-  std::printf("(unoptimized build: speedup gate advisory, not enforced)\n");
-#endif
   return 0;
 }

@@ -7,6 +7,11 @@
 // (obs::MetricsRegistry::to_json(), nested row arrays built by the bench).
 // check.sh --metrics validates emitted files with the strict parser in
 // src/obs/json.h, so keep emission boring.
+//
+// Every report opens with a stamp {build_type, sanitize, hardware_lanes}:
+// bench_gate refuses to judge a report against a baseline recorded under a
+// different stamp. A sampled Estimate renders as one flat object
+// {median, lo, hi, n}.
 #pragma once
 
 #include <cmath>
@@ -17,6 +22,15 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "sampler.h"
+#include "sim/parallel.h"
+
+#ifndef OVERHAUL_BUILD_TYPE
+#define OVERHAUL_BUILD_TYPE "unknown"
+#endif
+#ifndef OVERHAUL_SANITIZE_LIST
+#define OVERHAUL_SANITIZE_LIST ""
+#endif
 
 namespace overhaul::bench {
 
@@ -24,6 +38,11 @@ class JsonReport {
  public:
   explicit JsonReport(std::string bench_name) {
     add("bench", bench_name);
+    add_raw("stamp",
+            "{\"build_type\":" + obs::json::quote(OVERHAUL_BUILD_TYPE) +
+                ",\"sanitize\":" + obs::json::quote(OVERHAUL_SANITIZE_LIST) +
+                ",\"hardware_lanes\":" +
+                std::to_string(sim::ParallelExecutor::hardware_lanes()) + "}");
   }
 
   void add(const std::string& key, const std::string& value) {
@@ -34,6 +53,11 @@ class JsonReport {
   }
   void add(const std::string& key, double value) {
     add_raw(key, number(value));
+  }
+  void add(const std::string& key, const Estimate& e) {
+    add_raw(key, "{\"median\":" + number(e.median) + ",\"lo\":" +
+                     number(e.lo) + ",\"hi\":" + number(e.hi) +
+                     ",\"n\":" + std::to_string(e.n) + "}");
   }
   template <typename T,
             typename = std::enable_if_t<std::is_integral_v<T>>>

@@ -36,12 +36,15 @@ bool TrustedInput::mint_interaction(const InputEvent& event) {
   InputTraceEntry trace{kernel_.clock().now(), event.receiver_pid,
                         event.target,          event.serial,
                         event.kind,            event.hardware};
-  if (!event.hardware) {
-    ++stats_.synthetic_events;
-    c_synthetic_events_->add();
-  } else {
+  // Only forged keys and clicks are synthetic input: the SelectionNotify and
+  // PropertyNotify an X11 paste relays through SendEvent are protocol
+  // traffic, not input.
+  if (event.hardware) {
     ++stats_.hardware_events;
     c_hw_events_->add();
+  } else if (event.kind != InputKind::kOther) {
+    ++stats_.synthetic_events;
+    c_synthetic_events_->add();
   }
   if (event.hardware && enabled_ && channel_ != nullptr) {
     // The clickjacking rule (§IV-A): "OVERHAUL only generates interaction

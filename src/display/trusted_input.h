@@ -37,8 +37,8 @@ struct ServerConfig {
   int screen_height = 768;
 };
 
-// Only keys and clicks enter the trace; other events (an X11 SendEvent of a
-// selection event, say) are counted but not recorded.
+// Only keys and clicks are input: other events (an X11 SendEvent of a
+// selection event, say) are neither counted as synthetic input nor traced.
 enum class InputKind : std::uint8_t { kKey, kClick, kOther };
 
 // One event the backend has resolved to its receiver.

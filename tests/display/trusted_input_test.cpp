@@ -91,7 +91,7 @@ TEST_F(TrustedInputTest, OnlyKeysAndClicksEnterTheTrace) {
   other.kind = InputKind::kOther;
   other.hardware = false;
   (void)seam_.mint_interaction(other);
-  EXPECT_EQ(seam_.stats().synthetic_events, 1u);
+  EXPECT_EQ(seam_.stats().synthetic_events, 0u);  // protocol traffic, not input
   EXPECT_TRUE(seam_.trace().empty());
 
   InputEvent key = click(pid, sim::Duration::seconds(10));

@@ -88,6 +88,28 @@ TEST_F(InputTest, XTestDoesNotCreateInteraction) {
   EXPECT_TRUE(interaction_ts(victim.pid).is_never());
 }
 
+// A SendEvent that is not input (the PropertyNotify or SelectionNotify an
+// X11 paste relays) is protocol traffic: only forged keys and clicks count
+// as synthetic input, in the stats and in the metric alike.
+TEST_F(InputTest, SendEventOfNonInputIsNotSyntheticInput) {
+  auto victim = app("victim");
+  auto sender = app("sender", Rect{300, 300, 50, 50});
+  const auto metric = [&] {
+    return sys_.obs().metrics.counter_value("x11.input.synthetic_events");
+  };
+  XEvent property;
+  property.type = EventType::kPropertyNotify;
+  ASSERT_TRUE(x_.send_event(sender.client, victim.window, property).is_ok());
+  EXPECT_EQ(x_.stats().synthetic_events, 0u);
+  EXPECT_EQ(metric(), 0u);
+
+  XEvent forged;
+  forged.type = EventType::kButtonPress;
+  ASSERT_TRUE(x_.send_event(sender.client, victim.window, forged).is_ok());
+  EXPECT_EQ(x_.stats().synthetic_events, 1u);
+  EXPECT_EQ(metric(), 1u);
+}
+
 // S3 / clickjacking: a freshly-mapped window cannot harvest interactions.
 TEST_F(InputTest, FreshlyMappedWindowSuppressed) {
   auto trap = app("trap", Rect{0, 0, 200, 200}, /*settle=*/false);

@@ -1,196 +1,201 @@
-// bench_gate: CI gate over BENCH_table1.json that reasons about the ratio
-// *interval*, not the point estimate.
+// bench_gate: the one gate over the in-tree benches' BENCH_*.json reports.
 //
-// bench_table1 emits, per row, the per-repetition overhead-ratio spread
-// (ratio_min / ratio_median / ratio_max, n repetitions). A single median is
-// a coin flip on a noisy box; the interval is what supports a verdict:
-//   - ratio_min > 1        → the whole spread sits above parity: a measured
-//                            overhead. Gate: ratio_min must stay <= the
-//                            threshold (default 1.25).
-//   - ratio_max < 1        → a measured improvement; never gated.
-//   - interval straddles 1 → a noise-floor reading. Reported as "noise",
-//                            never gated (the paper's expected shape — its
-//                            overheads are low single digits on hardware,
-//                            below this substrate's noise floor).
-// Rows with n < --min-reps fail outright: an interval from one repetition
-// is degenerate and proves nothing.
+// tools/bench_baseline.json carries a stamp {build_type, sanitize,
+// hardware_lanes} and one entry {file, key, better, limit} per gated
+// quantity. Each report key is a sampled bench::Estimate {median, lo, hi, n}
+// (a median with its 95 % interval, bench/sampler.h) or a bare number (one
+// reading: its interval is the point). The one verdict rule:
+//   PASS        the whole interval lies on the good side of the limit
+//   FAIL        the whole interval lies on the bad side
+//   UNRESOLVED  the interval straddles the limit
+// A report whose stamp differs from the baseline's is refused: numbers from
+// another build type, sanitizer set or lane count say nothing about this
+// one.
 //
-// Usage: bench_gate [--threshold=X] [--min-reps=N] BENCH_table1.json...
-// Exit 0 iff every file validates, has >= min-reps per row, and no row's
-// whole interval exceeds the threshold.
+// --update rewrites the limits from the reports' medians and only ever
+// tightens them: a lower-is-better limit becomes min(limit, 1.6 x median), a
+// higher-is-better one max(limit, median / 1.6).
+//
+// Usage: bench_gate --baseline=PATH [--update] BENCH_*.json...
+// Exit 0 iff every entry PASSes (or, with --update, the baseline was
+// rewritten); 1 on FAIL, UNRESOLVED, or a missing file or key; 2 on a usage
+// error, invalid JSON or a stamp mismatch.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "obs/json.h"
 
 namespace {
 
-struct Row {
-  std::string name;
-  double n = 0;
-  double ratio_min = 0;
-  double ratio_median = 0;
-  double ratio_max = 0;
-  // Optional fields (rows from older trajectory files may lack them): the
-  // sample variance of the surviving ratios and how many repetitions the
-  // MAD rejection dropped before the interval was computed.
-  bool has_spread = false;
-  double variance = 0;
-  double rejected = 0;
+namespace bj = overhaul::bench_json;
+
+// Limits sit this far from the median they were recorded at.
+constexpr double kMargin = 1.6;
+
+struct Gate {
+  std::string file;
+  std::string key;
+  std::string better;  // "lower" or "higher"
+  double limit = 0;
 };
 
-// Minimal field scraper for the flat row objects bench_table1 emits. The
-// document is validated with the strict parser first, so after that simple
-// string scanning inside each row object is sound.
-bool find_number(const std::string& obj, const std::string& key, double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t pos = obj.find(needle);
-  if (pos == std::string::npos) return false;
-  *out = std::strtod(obj.c_str() + pos + needle.size(), nullptr);
-  return true;
-}
-
-bool find_string(const std::string& obj, const std::string& key,
-                 std::string* out) {
-  const std::string needle = "\"" + key + "\":\"";
-  const std::size_t pos = obj.find(needle);
-  if (pos == std::string::npos) return false;
-  const std::size_t start = pos + needle.size();
-  const std::size_t end = obj.find('"', start);
-  if (end == std::string::npos) return false;
-  *out = obj.substr(start, end - start);
-  return true;
-}
-
-// Split the "rows":[{...},{...}] array into per-row object strings. Row
-// objects are flat (no nested objects), so matching braces need no stack.
-std::vector<std::string> extract_rows(const std::string& text) {
-  std::vector<std::string> rows;
-  const std::size_t arr = text.find("\"rows\":[");
-  if (arr == std::string::npos) return rows;
-  std::size_t pos = arr;
-  while (true) {
-    const std::size_t open = text.find('{', pos);
-    if (open == std::string::npos) break;
-    const std::size_t close = text.find('}', open);
-    if (close == std::string::npos) break;
-    rows.push_back(text.substr(open, close - open + 1));
-    pos = close + 1;
-    if (pos >= text.size() || text[pos] != ',') break;  // end of the array
+bool read_validated(const std::string& path, std::string* out) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    std::fprintf(stderr, "bench_gate: cannot open %s\n", path.c_str());
+    return false;
   }
-  return rows;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  *out = buf.str();
+  std::string error;
+  if (!overhaul::obs::json::validate(*out, &error)) {
+    std::fprintf(stderr, "bench_gate: %s: invalid JSON: %s\n", path.c_str(),
+                 error.c_str());
+    return false;
+  }
+  return true;
+}
+
+std::string basename_of(const std::string& path) {
+  const std::size_t slash = path.find_last_of('/');
+  return slash == std::string::npos ? path : path.substr(slash + 1);
+}
+
+std::string number(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
+}
+
+const char* verdict(const Gate& g, const bj::Reading& r) {
+  const bool lower = g.better == "lower";
+  const bool good = lower ? r.hi <= g.limit : r.lo >= g.limit;
+  const bool bad = lower ? r.lo > g.limit : r.hi < g.limit;
+  return good ? "PASS" : bad ? "FAIL" : "UNRESOLVED";
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  double threshold = 1.25;
-  double min_reps = 5;
-  std::vector<const char*> files;
+  bool update = false;
+  std::string baseline_path;
+  std::vector<std::string> files;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threshold=", 12) == 0) {
-      threshold = std::strtod(argv[i] + 12, nullptr);
-    } else if (std::strncmp(argv[i], "--min-reps=", 11) == 0) {
-      min_reps = std::strtod(argv[i] + 11, nullptr);
+    if (std::strncmp(argv[i], "--baseline=", 11) == 0) {
+      baseline_path = argv[i] + 11;
+    } else if (std::strcmp(argv[i], "--update") == 0) {
+      update = true;
     } else if (argv[i][0] == '-') {
-      std::fprintf(stderr,
-                   "usage: bench_gate [--threshold=X] [--min-reps=N] "
-                   "BENCH_table1.json...\n");
-      return 2;
+      baseline_path.clear();
+      break;
     } else {
-      files.push_back(argv[i]);
+      files.emplace_back(argv[i]);
     }
   }
-  if (files.empty()) {
-    std::fprintf(stderr, "bench_gate: no input files\n");
+  if (baseline_path.empty() || files.empty()) {
+    std::fprintf(stderr,
+                 "usage: bench_gate --baseline=PATH [--update] "
+                 "BENCH_*.json...\n");
     return 2;
   }
 
-  int rc = 0;
-  for (const char* path : files) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "%s: cannot open\n", path);
-      rc = 1;
-      continue;
+  std::string text;
+  if (!read_validated(baseline_path, &text)) return 2;
+  std::map<std::string, std::string> baseline = bj::members(text);
+  const std::string stamp = baseline["stamp"];
+  std::vector<Gate> gates;
+  for (const auto& [unused, raw] : bj::split(baseline["gates"])) {
+    std::map<std::string, std::string> m = bj::members(raw);
+    Gate g{bj::unquote(m["file"]), bj::unquote(m["key"]),
+           bj::unquote(m["better"]), std::strtod(m["limit"].c_str(), nullptr)};
+    if (g.file.empty() || g.key.empty() ||
+        (g.better != "lower" && g.better != "higher")) {
+      std::fprintf(stderr, "bench_gate: malformed baseline entry: %s\n",
+                   raw.c_str());
+      return 2;
     }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
-    std::string error;
-    if (!overhaul::obs::json::validate(text, &error)) {
-      std::fprintf(stderr, "%s: invalid JSON: %s\n", path, error.c_str());
-      rc = 1;
-      continue;
-    }
-    const std::vector<std::string> row_objs = extract_rows(text);
-    if (row_objs.empty()) {
-      std::fprintf(stderr, "%s: no \"rows\" array — not a table1 report?\n",
-                   path);
-      rc = 1;
-      continue;
-    }
-    std::printf("%s: %zu rows (gate: whole interval > %.2f fails, "
-                "n >= %.0f required)\n",
-                path, row_objs.size(), threshold, min_reps);
-    int noise_rows = 0;
-    for (const std::string& obj : row_objs) {
-      // --quick rows carry "gating":false — single-repetition smoke numbers
-      // with no spread to reason about. Report them, never gate on them.
-      if (obj.find("\"gating\":false") != std::string::npos) {
-        std::string name;
-        (void)find_string(obj, "name", &name);
-        std::printf("  %-18s skipped (marked non-gating: quick-shape row)\n",
-                    name.c_str());
-        continue;
-      }
-      Row row;
-      if (!find_string(obj, "name", &row.name) ||
-          !find_number(obj, "n", &row.n) ||
-          !find_number(obj, "ratio_min", &row.ratio_min) ||
-          !find_number(obj, "ratio_median", &row.ratio_median) ||
-          !find_number(obj, "ratio_max", &row.ratio_max)) {
-        std::fprintf(stderr, "%s: row missing honesty fields: %s\n", path,
-                     obj.c_str());
-        rc = 1;
-        continue;
-      }
-      row.has_spread = find_number(obj, "variance", &row.variance) &&
-                       find_number(obj, "rejected_outliers", &row.rejected);
-      const char* verdict;
-      bool fail = false;
-      bool noisy = false;
-      if (row.n < min_reps) {
-        verdict = "FAIL (too few repetitions)";
-        fail = true;
-      } else if (row.ratio_min > 1.0) {
-        // The whole interval sits above parity: real overhead. Gate it.
-        fail = row.ratio_min > threshold;
-        verdict = fail ? "FAIL (overhead above threshold)" : "overhead";
-      } else if (row.ratio_max < 1.0) {
-        verdict = "improvement";
-      } else {
-        verdict = "noise (interval straddles 1.0)";
-        noisy = true;
-      }
-      std::printf("  %-18s n=%-3.0f ratio [%.4f, %.4f] median %.4f",
-                  row.name.c_str(), row.n, row.ratio_min, row.ratio_max,
-                  row.ratio_median);
-      if (row.has_spread)
-        std::printf(" var %.2e rej %.0f", row.variance, row.rejected);
-      std::printf(" — %s\n", verdict);
-      if (fail) rc = 1;
-      if (noisy) ++noise_rows;
-    }
-    if (noise_rows > 0)
-      std::printf("%s: flagged %d noise row(s) (interval straddles 1.0) — "
-                  "reported, not gated\n",
-                  path, noise_rows);
+    gates.push_back(std::move(g));
   }
-  return rc;
+  if (stamp.empty() || gates.empty()) {
+    std::fprintf(stderr, "bench_gate: %s needs a stamp and a gates array\n",
+                 baseline_path.c_str());
+    return 2;
+  }
+
+  std::map<std::string, std::map<std::string, std::string>> reports;
+  for (const std::string& path : files) {
+    if (!read_validated(path, &text)) return 2;
+    std::map<std::string, std::string> m = bj::members(text);
+    if (bj::members(m["stamp"]) != bj::members(stamp)) {
+      std::fprintf(stderr,
+                   "bench_gate: refusing to compare %s: its stamp %s differs "
+                   "from the baseline stamp %s\n",
+                   path.c_str(),
+                   m["stamp"].empty() ? "(none)" : m["stamp"].c_str(),
+                   stamp.c_str());
+      return 2;
+    }
+    reports[basename_of(path)] = std::move(m);
+  }
+
+  std::printf("bench_gate: %zu gates from %s, stamp %s\n", gates.size(),
+              baseline_path.c_str(), stamp.c_str());
+  int rc = 0;
+  for (Gate& g : gates) {
+    const auto report = reports.find(g.file);
+    if (report == reports.end()) {
+      std::fprintf(stderr, "bench_gate: %s: no report %s given\n",
+                   g.key.c_str(), g.file.c_str());
+      rc = 1;
+      continue;
+    }
+    const auto value = report->second.find(g.key);
+    if (value == report->second.end()) {
+      std::fprintf(stderr, "bench_gate: %s has no key %s\n", g.file.c_str(),
+                   g.key.c_str());
+      rc = 1;
+      continue;
+    }
+    const bj::Reading r = bj::reading(value->second);
+    const char* v = verdict(g, r);
+    std::printf("  %-22s %-30s %10.4g [%.4g, %.4g] n=%-3.0f %s %-9.4g %s",
+                g.file.c_str(), g.key.c_str(), r.median, r.lo, r.hi, r.n,
+                g.better == "lower" ? "<=" : ">=", g.limit, v);
+    if (update) {
+      const double old = g.limit;
+      g.limit = g.better == "lower" ? std::min(old, kMargin * r.median)
+                                    : std::max(old, r.median / kMargin);
+      std::printf(" -> limit %.4g", g.limit);
+    } else if (std::strcmp(v, "PASS") != 0) {
+      rc = 1;
+    }
+    std::printf("\n");
+  }
+  if (!update || rc != 0) return rc;
+
+  std::string out = "{\"stamp\":" + stamp + ",\"gates\":[\n";
+  for (std::size_t i = 0; i < gates.size(); ++i) {
+    const Gate& g = gates[i];
+    out += "{\"file\":\"" + g.file + "\",\"key\":\"" + g.key +
+           "\",\"better\":\"" + g.better + "\",\"limit\":" + number(g.limit) +
+           "}" + (i + 1 < gates.size() ? ",\n" : "\n");
+  }
+  out += "]}\n";
+  std::ofstream file(baseline_path, std::ios::binary);
+  if (!file.write(out.data(), static_cast<std::streamsize>(out.size()))) {
+    std::fprintf(stderr, "bench_gate: cannot rewrite %s\n",
+                 baseline_path.c_str());
+    return 1;
+  }
+  std::printf("rewrote %s\n", baseline_path.c_str());
+  return 0;
 }
